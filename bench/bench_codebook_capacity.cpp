@@ -24,11 +24,11 @@
 #include "bench_util.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
+#include "obs/trace.h"
 #include "serve/cache_budget.h"
 #include "serve/inference_session.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 using namespace deepsz;
 
@@ -96,7 +96,6 @@ double warm_p50_ms(const core::EncodedModel& model, bool native,
   const auto in_features = store.reader().entry(std::size_t{0}).cols;
   util::Pcg32 rng(42);
   std::vector<double> warm;
-  util::WallTimer timer;
   for (int r = 0; r < kRequests; ++r) {
     nn::Tensor x({kBatch, in_features});
     for (std::int64_t i = 0; i < x.numel(); ++i) {
@@ -104,9 +103,10 @@ double warm_p50_ms(const core::EncodedModel& model, bool native,
     }
     serve::InferenceSession session(store, net);
     session.enable_sparse_forward(sparse);
-    timer.reset();
+    obs::TraceSpan span("infer", "bench");
     session.infer(x);
-    if (r > 0) warm.push_back(timer.millis());  // r==0 pays decode
+    const double ms = span.close();
+    if (r > 0) warm.push_back(ms);  // r==0 pays decode
   }
   std::sort(warm.begin(), warm.end());
   return warm[warm.size() / 2];

@@ -25,8 +25,8 @@
 #include "core/pruner.h"
 #include "data/weight_synthesis.h"
 #include "nn/sgd.h"
+#include "obs/trace.h"
 #include "util/threadpool.h"
-#include "util/timer.h"
 
 using namespace deepsz;
 
@@ -57,7 +57,7 @@ int main() {
     // DeepSZ encode: assessment + optimization + compression. (The epoch
     // timing below mutates the network, so DeepSZ must run first.)
     core::CachedHeadOracle oracle(pm.net, pm.test.images, pm.test.labels);
-    util::WallTimer timer;
+    obs::TraceSpan deepsz_span("deepsz_encode", "bench");
     core::AssessmentConfig cfg;
     cfg.expected_acc_loss = bench::assessment_budget(spec, pm.test.size());
     auto assessments = core::assess_error_bounds(pm.net, layers, oracle, cfg);
@@ -66,26 +66,26 @@ int main() {
     std::map<std::string, double> ebs;
     for (const auto& c : chosen.choices) ebs[c.layer] = c.eb;
     core::encode_model(layers, ebs, sz::SzParams{});
-    const double deepsz_s = timer.seconds();
+    const double deepsz_s = deepsz_span.close() / 1e3;
 
     // Measured epoch time (one masked training epoch; mutates the network,
     // which the remaining encode-only measurements do not observe).
     nn::Sgd sgd({.lr = 0.001, .momentum = 0.9, .weight_decay = 0.0,
                  .batch_size = 32});
     util::Pcg32 rng(1);
-    timer.reset();
+    obs::TraceSpan epoch_span("train_epoch", "bench");
     sgd.train_epoch(pm.net, pm.train.images, pm.train.labels, rng);
-    const double epoch_s = timer.seconds();
+    const double epoch_s = epoch_span.close() / 1e3;
 
     // Deep Compression encode: k-means + Huffman + modeled retraining.
-    timer.reset();
+    obs::TraceSpan dc_span("dc_encode", "bench");
     for (const auto& l : layers) baselines::dc_encode(l);
-    const double dc_s = timer.seconds() + kDcRetrainEpochs * epoch_s;
+    const double dc_s = dc_span.close() / 1e3 + kDcRetrainEpochs * epoch_s;
 
     // Weightless encode: clustering + Bloomier build + modeled retraining.
-    timer.reset();
+    obs::TraceSpan wl_span("weightless_encode", "bench");
     for (const auto& l : layers) baselines::weightless_encode(l);
-    const double wl_s = timer.seconds() + kWlRetrainEpochs * epoch_s;
+    const double wl_s = wl_span.close() / 1e3 + kWlRetrainEpochs * epoch_s;
 
     bench::print_row({spec.name, bench::fmt(deepsz_s, 2), bench::fmt(dc_s, 2),
                       bench::fmt(wl_s, 2), bench::fmt(dc_s / deepsz_s, 2) + "x",
@@ -108,19 +108,32 @@ int main() {
     std::map<std::string, double> ebs;
     for (const auto& fc : spec.fc) ebs[fc.layer] = fc.chosen_eb;
     auto model = core::encode_model(layers, ebs, sz::SzParams{});
-    auto decoded = core::decode_model(model.bytes, true);
+
+    // DeepSZ decode, serial so the lossless and eb_decode spans stage under
+    // this span's label; the dense rebuild gets reconstruct spans.
+    obs::TraceSpan dsz_span("decode_model", "bench");
+    dsz_span.set_stage(spec.name);
+    for (const auto& l :
+         core::decode_model(model.bytes, /*parallel=*/false).layers) {
+      core::DecodePhaseSpan reconstruct("reconstruct", l.name);
+      volatile float sink = l.to_dense()[0];
+      (void)sink;
+    }
+    const double dsz_ms = dsz_span.close();
+    const auto dsz_phase_ms = [&](const char* phase) {
+      return obs::Tracer::stage_total_ms(phase, spec.name);
+    };
 
     // Deep Compression decode: Huffman streams + codebook + dense rebuild.
-    util::WallTimer timer;
     std::vector<std::vector<std::uint8_t>> dc_blobs;
     for (const auto& l : layers) dc_blobs.push_back(baselines::dc_encode(l).blob);
-    timer.reset();
+    obs::TraceSpan dc_span("dc_decode", "bench");
     for (const auto& b : dc_blobs) {
       auto layer = baselines::dc_decode(b);
       volatile float sink = layer.to_dense()[0];
       (void)sink;
     }
-    const double dc_ms = timer.millis();
+    const double dc_ms = dc_span.close();
 
     // Weightless decode: measure the largest layer within the runtime cap
     // and scale linearly by total dense count (decode is O(n_dense)).
@@ -132,11 +145,11 @@ int main() {
         total_dense += l.dense_count();
         if (l.dense_count() <= 8'000'000 && l.dense_count() > measured_dense) {
           auto blob = baselines::weightless_encode(l).blob;
-          timer.reset();
+          obs::TraceSpan wl_span("weightless_decode", "bench");
           auto dense = baselines::weightless_decode(blob);
           volatile float sink = dense.empty() ? 0.0f : dense[0];
           (void)sink;
-          measured_ms = timer.millis();
+          measured_ms = wl_span.close();
           measured_dense = l.dense_count();
         }
       }
@@ -146,10 +159,10 @@ int main() {
                   : 0.0;
     }
 
-    bench::print_row({spec.name, bench::fmt(decoded.timing.lossless_ms, 1),
-                      bench::fmt(decoded.timing.sz_ms, 1),
-                      bench::fmt(decoded.timing.reconstruct_ms, 1),
-                      bench::fmt(decoded.timing.total_ms(), 1),
+    bench::print_row({spec.name, bench::fmt(dsz_phase_ms("lossless"), 1),
+                      bench::fmt(dsz_phase_ms("eb_decode"), 1),
+                      bench::fmt(dsz_phase_ms("reconstruct"), 1),
+                      bench::fmt(dsz_ms, 1),
                       bench::fmt(dc_ms, 1), bench::fmt(wl_ms, 1)},
                      14);
   }
@@ -178,19 +191,19 @@ int main() {
     core::ContainerOptions parallel;
     parallel.parallel = true;
 
-    util::WallTimer timer;
+    obs::TraceSpan enc_serial("encode_model", "bench");
     auto model_serial = core::encode_model(layers, ebs, serial);
-    const double enc_serial_ms = timer.millis();
-    timer.reset();
+    const double enc_serial_ms = enc_serial.close();
+    obs::TraceSpan enc_parallel("encode_model", "bench");
     auto model_parallel = core::encode_model(layers, ebs, parallel);
-    const double enc_parallel_ms = timer.millis();
+    const double enc_parallel_ms = enc_parallel.close();
 
-    timer.reset();
-    core::decode_model(model_serial.bytes, true, /*parallel=*/false);
-    const double dec_serial_ms = timer.millis();
-    timer.reset();
-    core::decode_model(model_parallel.bytes, true, /*parallel=*/true);
-    const double dec_parallel_ms = timer.millis();
+    obs::TraceSpan dec_serial("decode_model", "bench");
+    core::decode_model(model_serial.bytes, /*parallel=*/false);
+    const double dec_serial_ms = dec_serial.close();
+    obs::TraceSpan dec_parallel("decode_model", "bench");
+    core::decode_model(model_parallel.bytes, /*parallel=*/true);
+    const double dec_parallel_ms = dec_parallel.close();
 
     const double speedup = (enc_serial_ms + dec_serial_ms) /
                            (enc_parallel_ms + dec_parallel_ms);
@@ -227,14 +240,14 @@ int main() {
     for (int v = 1; v <= 2; ++v) {
       sz::SzParams params;
       params.stream_version = static_cast<std::uint32_t>(v);
-      util::WallTimer timer;
+      obs::TraceSpan enc_span("sz_compress", "bench");
       auto stream = sz::compress(layer.data, params);
-      const double enc_ms = timer.millis();
+      const double enc_ms = enc_span.close();
       double best = 1e300;  // best of three: cold decode, no warm cache help
       for (int rep = 0; rep < 3; ++rep) {
-        timer.reset();
+        obs::TraceSpan dec_span("sz_decompress", "bench");
         auto back = sz::decompress(stream);
-        best = std::min(best, timer.millis());
+        best = std::min(best, dec_span.close());
         if (back.size() != layer.data.size()) return 1;
       }
       dec_ms[v - 1] = best;

@@ -17,11 +17,11 @@
 #include "bench_util.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
+#include "obs/trace.h"
 #include "serve/inference_session.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
-#include "util/timer.h"
 
 using namespace deepsz;
 
@@ -29,6 +29,12 @@ namespace {
 
 constexpr int kRequests = 48;
 constexpr int kBatch = 8;
+
+/// Codec time of the unlabelled stores since the last obs::Tracer::reset():
+/// their "decode" spans or one of its phases.
+double store_stage_ms(const char* stage) {
+  return obs::Tracer::stage_total_ms(stage, "store");
+}
 
 core::EncodedModel make_model() {
   // An AlexNet-shaped fc-stack at 1/8 scale: big enough that codec work
@@ -64,17 +70,19 @@ RunResult run_scenario(const core::EncodedModel& model,
 
   util::Pcg32 rng(77);
   std::vector<double> latencies;
-  util::WallTimer timer;
   for (int r = 0; r < kRequests; ++r) {
-    if (r == 1) store.reset_stats();
+    if (r == 1) {  // warm from here on
+      store.reset_stats();
+      obs::Tracer::reset();
+    }
     nn::Tensor x({kBatch, in_features});
     for (std::int64_t i = 0; i < x.numel(); ++i) {
       x[i] = static_cast<float>(rng.normal(0.0, 1.0));
     }
     serve::InferenceSession session(store, net);  // request-scoped session
-    timer.reset();
+    obs::TraceSpan span("infer", "bench");
     session.infer(x);
-    latencies.push_back(timer.millis());
+    latencies.push_back(span.close());
   }
 
   std::vector<double> warm(latencies.begin() + 1, latencies.end());
@@ -84,7 +92,7 @@ RunResult run_scenario(const core::EncodedModel& model,
   res.cold_ms = latencies.front();
   res.p50_ms = warm[warm.size() / 2];
   res.p95_ms = warm[static_cast<std::size_t>(0.95 * (warm.size() - 1))];
-  res.warm_codec_ms = stats.decode_ms;
+  res.warm_codec_ms = store_stage_ms("decode");
   res.hit_rate = stats.hit_rate();
   res.evictions = stats.evictions;
   return res;
@@ -105,9 +113,12 @@ int main() {
   }();
 
   // The paper's deployment path: decode the full container, every reload.
-  util::WallTimer timer;
-  auto decoded = core::decode_model(model.bytes, /*reconstruct_dense=*/true);
-  const double eager_ms = timer.millis();
+  obs::TraceSpan eager("decode_model", "bench");
+  for (const auto& layer : core::decode_model(model.bytes).layers) {
+    volatile float sink = layer.to_dense()[0];
+    (void)sink;
+  }
+  const double eager_ms = eager.close();
   std::printf("full decode (paper deployment path): %.2f ms, decoded %s\n\n",
               eager_ms, bench::fmt_bytes(model_bytes).c_str());
 
@@ -157,17 +168,17 @@ int main() {
       copts.data_codec = specs[v];
       auto encoded = core::encode_model(big, {}, copts);
       serve::ModelStore store(encoded.bytes);
-      util::WallTimer timer;
+      obs::Tracer::reset();
+      obs::TraceSpan span("get", "bench");
       auto layer = store.get("fc6");
-      cold_ms[v] = timer.millis();
+      cold_ms[v] = span.close();
       (void)layer;
-      const auto stats = store.stats();
       bench::print_row({specs[v],
                         std::to_string(encoded.compressed_payload_bytes()),
                         bench::fmt(cold_ms[v], 1),
-                        bench::fmt(stats.lossless_ms, 1),
-                        bench::fmt(stats.eb_decode_ms, 1),
-                        bench::fmt(stats.reconstruct_ms, 1)},
+                        bench::fmt(store_stage_ms("lossless"), 1),
+                        bench::fmt(store_stage_ms("eb_decode"), 1),
+                        bench::fmt(store_stage_ms("reconstruct"), 1)},
                        14);
     }
     std::printf("\nv2 cold-miss speedup: %.2fx\n", cold_ms[0] / cold_ms[1]);
@@ -200,7 +211,6 @@ int main() {
       const auto in_features = store.reader().entry(std::size_t{0}).cols;
       util::Pcg32 rng(5);
       std::vector<double> lat;
-      util::WallTimer timer;
       for (int r = 0; r < kRequests; ++r) {
         nn::Tensor x({kBatch, in_features});
         for (std::int64_t i = 0; i < x.numel(); ++i) {
@@ -208,9 +218,9 @@ int main() {
         }
         serve::InferenceSession session(store, net);
         session.enable_sparse_forward(true);
-        timer.reset();
+        obs::TraceSpan span("infer", "bench");
         session.infer(x);
-        lat.push_back(timer.millis());
+        lat.push_back(span.close());
       }
       std::vector<double> warm(lat.begin() + 1, lat.end());
       std::sort(warm.begin(), warm.end());

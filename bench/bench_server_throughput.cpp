@@ -35,7 +35,6 @@
 #include "server/scheduler.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -96,7 +95,7 @@ RunStats run_closed_loop(server::ModelRepository& repo,
   std::vector<std::uint64_t> ok(static_cast<std::size_t>(clients), 0);
   std::vector<std::uint64_t> failed(static_cast<std::size_t>(clients), 0);
 
-  util::WallTimer wall;
+  const std::uint64_t start_ns = obs::now_ns();
   std::vector<std::thread> threads;
   for (int t = 0; t < clients; ++t) {
     threads.emplace_back([&, t] {
@@ -116,7 +115,7 @@ RunStats run_closed_loop(server::ModelRepository& repo,
       constexpr int kWindow = 2;
       struct InFlight {
         std::future<server::InferResult> future;
-        util::WallTimer since_submit;
+        std::uint64_t submitted_ns;
       };
       std::deque<InFlight> window;
       auto submit_one = [&](int i) {
@@ -124,11 +123,14 @@ RunStats run_closed_loop(server::ModelRepository& repo,
         req.rows = 1;
         req.input = inputs[static_cast<std::size_t>(i) % inputs.size()];
         const auto& model = models[static_cast<std::size_t>(i) % models.size()];
-        window.push_back(InFlight{sched.submit(model, std::move(req)), {}});
+        window.push_back(
+            InFlight{sched.submit(model, std::move(req)), obs::now_ns()});
       };
       auto harvest_one = [&] {
         auto r = window.front().future.get();
-        const double ms = window.front().since_submit.millis();
+        const double ms =
+            static_cast<double>(obs::now_ns() - window.front().submitted_ns) /
+            1e6;
         window.pop_front();
         if (r.ok()) {
           ++ok[static_cast<std::size_t>(t)];
@@ -145,7 +147,7 @@ RunStats run_closed_loop(server::ModelRepository& repo,
     });
   }
   for (auto& th : threads) th.join();
-  stats.seconds = wall.seconds();
+  stats.seconds = static_cast<double>(obs::now_ns() - start_ns) / 1e9;
 
   for (int t = 0; t < clients; ++t) {
     stats.latency_ms.merge(per_thread[static_cast<std::size_t>(t)]);

@@ -10,7 +10,7 @@
 #include "bench_util.h"
 #include "modelzoo/zoo.h"
 #include "nn/layers.h"
-#include "util/timer.h"
+#include "obs/trace.h"
 
 using namespace deepsz;
 
@@ -29,12 +29,11 @@ FwdTimes measure_forward(nn::Network& net, const nn::Tensor& batch) {
   nn::Tensor cur = batch;
   // Warm-up pass.
   net.forward(batch);
-  util::WallTimer timer;
   for (const auto& layer : net.layers()) {
     if (layer->kind() == "dense") seen_dense = true;
-    timer.reset();
+    obs::TraceSpan span("layer_forward", "bench");
     cur = layer->forward(cur, false);
-    (seen_dense ? times.fc_ms : times.conv_ms) += timer.millis();
+    (seen_dense ? times.fc_ms : times.conv_ms) += span.close();
   }
   return times;
 }

@@ -8,7 +8,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/pipeline.h"
+#include "compress/registry.h"
+#include "compress/session.h"
 
 using namespace deepsz;
 
@@ -28,13 +29,16 @@ int main() {
     const auto& spec = modelzoo::paper_spec(key);
     auto m = modelzoo::pretrained(key);
 
-    core::DeepSzOptions opts;
-    for (const auto& fc : spec.fc) opts.keep_ratio[fc.layer] = fc.keep_ratio;
-    opts.retrain_epochs = 2;
-    opts.expected_acc_loss =
-        bench::assessment_budget(spec, m.test.size());
-    auto report = core::run_deepsz(m.net, m.train.images, m.train.labels,
-                                   m.test.images, m.test.labels, opts);
+    compress::CompressSpec cspec;
+    for (const auto& fc : spec.fc) {
+      cspec.prune.keep_ratio[fc.layer] = fc.keep_ratio;
+    }
+    cspec.prune.retrain_epochs = 2;
+    cspec.expected_acc_loss = bench::assessment_budget(spec, m.test.size());
+    compress::CompressionSession session(
+        compress::CompressorRegistry::instance().make("deepsz"), m.net,
+        m.train.images, m.train.labels, m.test.images, m.test.labels, cspec);
+    auto report = session.run();
 
     bench::print_row(
         {spec.name, bench::fmt_pct(report.acc_original.top1),

@@ -60,7 +60,7 @@ int main() {
 
     std::vector<sparse::PrunedLayer> dsz_layers;
     {
-      auto decoded = core::decode_model(model.bytes, false);
+      auto decoded = core::decode_model(model.bytes);
       dsz_layers = std::move(decoded.layers);
     }
     core::load_layers_into_network(dsz_layers, pm.net);

@@ -8,10 +8,11 @@
 // fp32 fc-layers or the CSR-pruned network.
 #include <cstdio>
 
-#include "core/pipeline.h"
+#include "compress/registry.h"
+#include "compress/session.h"
 #include "modelzoo/paper_specs.h"
 #include "modelzoo/pretrained.h"
-#include "util/timer.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -29,17 +30,21 @@ int main() {
   auto m = modelzoo::pretrained("alexnet");
   const auto& spec = modelzoo::paper_spec("alexnet");
 
-  core::DeepSzOptions opts;
-  for (const auto& fc : spec.fc) opts.keep_ratio[fc.layer] = fc.keep_ratio;
-  opts.retrain_epochs = 2;
-  opts.expected_acc_loss = 0.004;
+  compress::CompressSpec cspec;
+  for (const auto& fc : spec.fc) {
+    cspec.prune.keep_ratio[fc.layer] = fc.keep_ratio;
+  }
+  cspec.prune.retrain_epochs = 2;
+  cspec.expected_acc_loss = 0.004;
   // Index arrays ride any registered lossless codec; Zstandard-class is
   // Figure 4's winner and the default ("gzip", "blosc:typesize=1", ... also
   // work — see `deepsz_tool codecs`).
-  opts.index_codec = "zstd";
+  cspec.index_codec = "zstd";
 
-  auto report = core::run_deepsz(m.net, m.train.images, m.train.labels,
-                                 m.test.images, m.test.labels, opts);
+  compress::CompressionSession session(
+      compress::CompressorRegistry::instance().make("deepsz"), m.net,
+      m.train.images, m.train.labels, m.test.images, m.test.labels, cspec);
+  auto report = session.run();
 
   std::printf("AlexNet-mini on synthetic ImageNet-20\n");
   std::printf("cloud-side encode took %.1f s (no retraining needed)\n\n",
@@ -49,19 +54,23 @@ int main() {
   print_transfer("pruned CSR", report.csr_bytes);
   print_transfer("DeepSZ", report.model.compressed_payload_bytes());
 
+  // Device-side decode; serial, so the phase spans stage under "device".
+  obs::TraceSpan decode("decode_model", "example");
+  decode.set_stage("device");
+  core::decode_model(report.model.bytes, /*parallel=*/false);
+  const double decode_ms = decode.close();
   std::printf("\ndevice-side decode: %.1f ms total (lossless %.1f ms, SZ %.1f "
-              "ms, matrix rebuild %.1f ms)\n",
-              report.decode_timing.total_ms(),
-              report.decode_timing.lossless_ms, report.decode_timing.sz_ms,
-              report.decode_timing.reconstruct_ms);
+              "ms)\n",
+              decode_ms, obs::Tracer::stage_total_ms("lossless", "device"),
+              obs::Tracer::stage_total_ms("eb_decode", "device"));
 
   // Inference cost dwarfs decode cost, as the paper argues.
-  util::WallTimer timer;
   auto batch = nn::slice_batch(m.test.images, 0, 50);
+  obs::TraceSpan forward("forward", "example");
   m.net.forward(batch);
+  const double forward_ms = forward.close();
   std::printf("one 50-image forward pass: %.1f ms (decode is %.1f%% of it)\n",
-              timer.millis(),
-              100.0 * report.decode_timing.total_ms() / timer.millis());
+              forward_ms, 100.0 * decode_ms / forward_ms);
 
   std::printf("\naccuracy: %.2f%% original -> %.2f%% deployed (top-1), "
               "%.2f%% -> %.2f%% (top-5)\n",

@@ -18,6 +18,7 @@
 #include "core/pipeline.h"
 #include "modelzoo/pretrained.h"
 #include "modelzoo/zoo.h"
+#include "obs/trace.h"
 
 int main() {
   using namespace deepsz;
@@ -73,10 +74,9 @@ int main() {
   // The compressed model is a self-contained byte blob (weights + biases):
   // decode it into a freshly built network of the same architecture.
   auto fresh = modelzoo::make_by_key("lenet300");
-  auto timing = core::load_compressed_model(relaxed.model.bytes, fresh);
-  std::printf("decode: %.1f ms (lossless %.1f + SZ %.1f + rebuild %.1f)\n",
-              timing.total_ms(), timing.lossless_ms, timing.sz_ms,
-              timing.reconstruct_ms);
+  obs::TraceSpan load("load_compressed_model", "example");
+  core::load_compressed_model(relaxed.model.bytes, fresh);
+  std::printf("decode + load: %.1f ms\n", load.close());
   auto acc = nn::evaluate(fresh, m.test.images, m.test.labels);
   std::printf("decoded network top-1: %.2f%%\n", acc.top1 * 100);
   return 0;

@@ -35,8 +35,7 @@ struct CompareRow {
   double top1_decoded = 0.0;     // after container decode + reload
   double encode_seconds = 0.0;   // Assess+Optimize+Encode (Fig. 7a)
   double decode_ms = 0.0;        // full container decode (Fig. 7b)
-  bool serve_ok = false;         // served via ModelStore+InferenceSession
-  double warm_codec_ms = 0.0;    // codec time on the warm request (must be 0)
+  bool serve_ok = false;         // served warm via ModelStore, no cache miss
   std::string error;             // non-empty when the strategy failed
 };
 

@@ -138,7 +138,6 @@ struct SessionState {
   // Filled by Encode (the decoded-and-reloaded numbers the tables report).
   core::EncodedModel model;
   nn::Accuracy acc_decoded;
-  core::DecodeTiming decode_timing;
 
   /// Throws Cancelled when the session's cancel flag is set. Strategies
   /// call this between units of work inside a stage (the session also
@@ -181,7 +180,7 @@ class ModelCompressor {
 };
 
 /// End-to-end result of a session run (the session keeps the live state;
-/// this is the caller-facing snapshot the old DeepSzReport maps onto).
+/// this is the caller-facing snapshot).
 struct CompressReport {
   std::string strategy;  // registry name of the strategy that ran
   nn::Accuracy acc_original;
@@ -195,7 +194,6 @@ struct CompressReport {
   std::size_t csr_bytes = 0;
   double compression_ratio = 0.0;  // dense fc bytes / compressed payload
   double encode_seconds = 0.0;     // Assess + Optimize + Encode (Fig. 7a)
-  core::DecodeTiming decode_timing;
   std::array<StageReport, kNumStages> stages;
 };
 

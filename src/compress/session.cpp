@@ -7,7 +7,6 @@
 #include "core/pipeline.h"
 #include "obs/trace.h"
 #include "util/log.h"
-#include "util/timer.h"
 
 namespace deepsz::compress {
 
@@ -75,27 +74,22 @@ void CompressionSession::prepare_state_hooks(Stage stage) {
   if (progress_) progress_(stage, std::string(stage_name(stage)) + ": start");
 }
 
-void CompressionSession::begin_stage(Stage stage) {
+void CompressionSession::begin_stage(Stage stage, obs::TraceSpan& span) {
+  span.set_detail(info_.name);
+  span.set_stage(info_.name);
   checkpoint();
-  stage_start_ns_ = obs::now_ns();
   prepare_state_hooks(stage);
 }
 
 void CompressionSession::finish_stage(Stage stage, bool skipped,
-                                      double seconds, std::string detail) {
-  if (obs::Tracer::enabled()) {
-    // Span the stage with its own reported duration (the stage timers start
-    // after begin_stage, so the span and the report agree).
-    obs::Tracer::emit(stage_name(stage), "compress", info_.name,
-                      skipped ? "skipped" : "done", stage_start_ns_,
-                      static_cast<std::uint64_t>(seconds * 1e9));
-    obs::Tracer::record_stage(stage_name(stage), info_.name, seconds * 1e3);
-  }
+                                      obs::TraceSpan& span,
+                                      std::string detail) {
+  span.set_phase(skipped ? "skipped" : "done");
   auto& r = mutable_report(stage);
   r.done = true;
   r.skipped = skipped;
   ++r.runs;
-  r.seconds = seconds;
+  r.seconds = span.close() / 1e3;
   r.detail = std::move(detail);
   if (progress_) {
     progress_(stage, std::string(stage_name(stage)) + ": " +
@@ -118,8 +112,8 @@ void CompressionSession::invalidate_from(Stage stage) {
 }
 
 void CompressionSession::run_prune() {
-  begin_stage(Stage::kPrune);
-  util::WallTimer timer;
+  obs::TraceSpan span(stage_name(Stage::kPrune), "compress");
+  begin_stage(Stage::kPrune, span);
   auto& s = state_;
   s.acc_original = nn::evaluate(*s.net, *s.test_images, *s.test_labels);
   s.prune = core::prune_and_retrain(*s.net, *s.train_images, *s.train_labels,
@@ -144,7 +138,7 @@ void CompressionSession::run_prune() {
   std::ostringstream detail;
   detail << s.layers.size() << " fc-layer(s), top-1 " << s.acc_original.top1
          << " -> " << s.acc_pruned.top1;
-  finish_stage(Stage::kPrune, false, timer.seconds(), detail.str());
+  finish_stage(Stage::kPrune, false, span, detail.str());
 }
 
 void CompressionSession::adopt_pruned() {
@@ -154,8 +148,8 @@ void CompressionSession::adopt_pruned() {
 void CompressionSession::adopt_pruned(
     std::shared_ptr<core::CachedHeadOracle> oracle,
     const nn::Accuracy& acc_pruned) {
-  begin_stage(Stage::kPrune);
-  util::WallTimer timer;
+  obs::TraceSpan span(stage_name(Stage::kPrune), "compress");
+  begin_stage(Stage::kPrune, span);
   auto& s = state_;
   s.layers = core::extract_pruned_layers(*s.net);
   if (s.layers.empty()) {
@@ -180,13 +174,13 @@ void CompressionSession::adopt_pruned(
 
   std::ostringstream detail;
   detail << "adopted " << s.layers.size() << " pre-pruned fc-layer(s)";
-  finish_stage(Stage::kPrune, false, timer.seconds(), detail.str());
+  finish_stage(Stage::kPrune, false, span, detail.str());
 }
 
 void CompressionSession::run_assess() {
   require_done(Stage::kPrune, "assess");
-  begin_stage(Stage::kAssess);
-  util::WallTimer timer;
+  obs::TraceSpan span(stage_name(Stage::kAssess), "compress");
+  begin_stage(Stage::kAssess, span);
   restore_pruned_weights();  // Encode may have left decoded weights behind
   bool ran = false;
   try {
@@ -209,13 +203,13 @@ void CompressionSession::run_assess() {
   } else {
     detail << "no tunable error bound";
   }
-  finish_stage(Stage::kAssess, !ran, timer.seconds(), detail.str());
+  finish_stage(Stage::kAssess, !ran, span, detail.str());
 }
 
 void CompressionSession::run_optimize() {
   require_done(Stage::kAssess, "optimize");
-  begin_stage(Stage::kOptimize);
-  util::WallTimer timer;
+  obs::TraceSpan span(stage_name(Stage::kOptimize), "compress");
+  begin_stage(Stage::kOptimize, span);
   restore_pruned_weights();
   bool ran = false;
   try {
@@ -236,23 +230,24 @@ void CompressionSession::run_optimize() {
   } else {
     detail << "nothing to optimize";
   }
-  finish_stage(Stage::kOptimize, !ran, timer.seconds(), detail.str());
+  finish_stage(Stage::kOptimize, !ran, span, detail.str());
 }
 
 void CompressionSession::run_encode() {
   require_done(Stage::kOptimize, "encode");
-  begin_stage(Stage::kEncode);
+  obs::TraceSpan span(stage_name(Stage::kEncode), "compress");
+  begin_stage(Stage::kEncode, span);
   restore_pruned_weights();
+  state_.model = strategy_->encode(state_);
   // Only the container generation counts as encode time (the paper's
   // Figure-7a definition); the decode + accuracy measurement below is
-  // bookkeeping for the tables, reported separately as decode_timing.
-  util::WallTimer timer;
-  state_.model = strategy_->encode(state_);
-  const double encode_seconds = timer.seconds();
+  // bookkeeping for the tables.
+  span.set_phase("done");
+  span.close();
 
   // Decode + reload, and measure the decoded accuracy the tables report.
   auto& s = state_;
-  s.decode_timing = core::load_compressed_model(s.model.bytes, *s.net);
+  core::load_compressed_model(s.model.bytes, *s.net);
   s.acc_decoded = nn::evaluate(*s.net, *s.test_images, *s.test_labels);
   DSZ_LOG_INFO << info_.name << ": ratio " << s.model.compression_ratio()
                << "x, top-1 " << s.acc_original.top1 << " -> "
@@ -262,7 +257,7 @@ void CompressionSession::run_encode() {
   detail << s.model.compressed_payload_bytes() << " bytes, ratio "
          << s.model.compression_ratio() << "x, decoded top-1 "
          << s.acc_decoded.top1;
-  finish_stage(Stage::kEncode, false, encode_seconds, detail.str());
+  finish_stage(Stage::kEncode, false, span, detail.str());
 }
 
 CompressReport CompressionSession::run() {
@@ -301,7 +296,6 @@ CompressReport CompressionSession::report() const {
   r.dense_fc_bytes = state_.dense_fc_bytes;
   r.csr_bytes = state_.csr_bytes;
   r.compression_ratio = state_.model.compression_ratio();
-  r.decode_timing = state_.decode_timing;
   r.stages = reports_;
   // Encode seconds in the paper's Figure-7a sense: everything after pruning.
   for (Stage s : {Stage::kAssess, Stage::kOptimize, Stage::kEncode}) {

@@ -19,14 +19,15 @@
 #include <atomic>
 
 #include "compress/compressor.h"
+#include "obs/trace.h"
 
 namespace deepsz::compress {
 
 class CompressionSession {
  public:
-  /// `net` is modified in place across the stages exactly as run_deepsz did:
-  /// pruned and retrained by Prune, temporarily perturbed by Assess/Optimize
-  /// (restored), and finally left holding the decoded weights by Encode.
+  /// `net` is modified in place across the stages: pruned and retrained by
+  /// Prune, temporarily perturbed by Assess/Optimize (restored), and finally
+  /// left holding the decoded weights by Encode.
   /// All references must outlive the session.
   CompressionSession(std::shared_ptr<ModelCompressor> strategy,
                      nn::Network& net, const nn::Tensor& train_images,
@@ -105,8 +106,10 @@ class CompressionSession {
  private:
   StageReport& mutable_report(Stage stage);
   void require_done(Stage stage, const char* by) const;
-  void begin_stage(Stage stage);
-  void finish_stage(Stage stage, bool skipped, double seconds,
+  /// Labels `span` (the stage's stopwatch and trace span) and starts the
+  /// stage; finish_stage closes it and records its duration.
+  void begin_stage(Stage stage, obs::TraceSpan& span);
+  void finish_stage(Stage stage, bool skipped, obs::TraceSpan& span,
                     std::string detail);
   void checkpoint();
   void restore_pruned_weights();
@@ -117,7 +120,6 @@ class CompressionSession {
   CompressorInfo info_;
   SessionState state_;
   std::array<StageReport, kNumStages> reports_;
-  std::uint64_t stage_start_ns_ = 0;  // trace-span start of the running stage
   ProgressFn progress_;
   std::atomic<bool> cancel_{false};
 };

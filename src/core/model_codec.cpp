@@ -12,7 +12,6 @@
 #include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/threadpool.h"
-#include "util/timer.h"
 
 namespace deepsz::core {
 namespace {
@@ -582,8 +581,7 @@ const ContainerReader& ContainerReader::require_base(
 }
 
 sparse::PrunedLayer ContainerReader::apply_delta(
-    std::size_t i, const sparse::PrunedLayer& base_layer,
-    DecodeTiming* timing) const {
+    std::size_t i, const sparse::PrunedLayer& base_layer) const {
   const auto& e = entries_.at(i);
   if (e.kind != LayerKind::kDelta) {
     throw std::runtime_error("ContainerReader: apply_delta on a non-delta "
@@ -599,7 +597,7 @@ sparse::PrunedLayer ContainerReader::apply_delta(
   const auto residual_stream = checked_span(e.data, e.name);
   const auto corr_stream = checked_span(e.corr, e.name);
 
-  util::WallTimer timer;
+  DecodePhaseSpan lossless("lossless", e.name);
   auto corr =
       byte_codec(e.corr.codec.empty() ? "store" : e.corr.codec)
           ->decode(corr_stream);
@@ -625,12 +623,12 @@ sparse::PrunedLayer ContainerReader::apply_delta(
                   ->decode(checked_span(e.index, e.name));
       break;
   }
-  const double lossless_ms = timer.millis();
+  lossless.close();
 
-  timer.reset();
+  DecodePhaseSpan eb_decode("eb_decode", e.name);
   auto residual = float_codec(e.data.codec.empty() ? "sz" : e.data.codec)
                       ->decode(residual_stream);
-  const double sz_ms = timer.millis();
+  eb_decode.close();
 
   if (corr.size() != residual.size() * sizeof(float)) {
     throw std::runtime_error(
@@ -643,7 +641,7 @@ sparse::PrunedLayer ContainerReader::apply_delta(
 
   // data = (base + residual), then the XOR correction restores the target's
   // exact bit pattern regardless of what the lossy residual codec did.
-  timer.reset();
+  DecodePhaseSpan reconstruct("reconstruct", e.name);
   sparse::PrunedLayer layer;
   layer.name = e.name;
   layer.rows = e.rows;
@@ -663,11 +661,6 @@ sparse::PrunedLayer ContainerReader::apply_delta(
     throw std::runtime_error(
         "ContainerReader: reconstruction checksum mismatch in " + e.name +
         " (corrupt or forged delta streams)");
-  }
-  if (timing) {
-    timing->lossless_ms = lossless_ms;
-    timing->sz_ms = sz_ms;
-    timing->reconstruct_ms = timer.millis();
   }
   return layer;
 }
@@ -716,13 +709,11 @@ std::span<const std::uint8_t> ContainerReader::checked_span(
   return stream;
 }
 
-sparse::PrunedLayer ContainerReader::decode_layer(std::size_t i,
-                                                  DecodeTiming* timing) const {
-  return decode_layer_impl(i, timing, kMaxChainDepth);
+sparse::PrunedLayer ContainerReader::decode_layer(std::size_t i) const {
+  return decode_layer_impl(i, kMaxChainDepth);
 }
 
 sparse::PrunedLayer ContainerReader::decode_layer_impl(std::size_t i,
-                                                       DecodeTiming* timing,
                                                        int depth_budget) const {
   const auto& e = entries_.at(i);
   if (e.kind != LayerKind::kFull && depth_budget <= 0) {
@@ -732,7 +723,7 @@ sparse::PrunedLayer ContainerReader::decode_layer_impl(std::size_t i,
   if (e.kind == LayerKind::kSame) {
     const auto& base = require_base(e.name);
     auto layer =
-        base.decode_layer_impl(base.index_of(e.name), timing, depth_budget - 1);
+        base.decode_layer_impl(base.index_of(e.name), depth_budget - 1);
     if (layer.rows != e.rows || layer.cols != e.cols ||
         util::crc32(float_bytes(layer.data)) != e.base_data_crc ||
         util::crc32(layer.index) != e.base_index_crc) {
@@ -745,9 +736,8 @@ sparse::PrunedLayer ContainerReader::decode_layer_impl(std::size_t i,
   if (e.kind == LayerKind::kDelta) {
     const auto& base = require_base(e.name);
     auto base_layer =
-        base.decode_layer_impl(base.index_of(e.name), nullptr,
-                               depth_budget - 1);
-    return apply_delta(i, base_layer, timing);
+        base.decode_layer_impl(base.index_of(e.name), depth_budget - 1);
+    return apply_delta(i, base_layer);
   }
 
   const auto data_stream = checked_span(e.data, e.name);
@@ -760,46 +750,40 @@ sparse::PrunedLayer ContainerReader::decode_layer_impl(std::size_t i,
 
   // Legacy containers carry no codec specs; their data streams are implicit
   // SZ and their index frames self-describing, which "store" decodes.
-  util::WallTimer timer;
-  layer.index =
-      byte_codec(e.index.codec.empty() ? "store" : e.index.codec)
-          ->decode(index_stream);
-  const double lossless_ms = timer.millis();
-  timer.reset();
-  layer.data = float_codec(e.data.codec.empty() ? "sz" : e.data.codec)
-                   ->decode(data_stream);
-  const double sz_ms = timer.millis();
+  {
+    DecodePhaseSpan lossless("lossless", e.name);
+    layer.index = byte_codec(e.index.codec.empty() ? "store" : e.index.codec)
+                      ->decode(index_stream);
+  }
+  {
+    DecodePhaseSpan eb_decode("eb_decode", e.name);
+    layer.data = float_codec(e.data.codec.empty() ? "sz" : e.data.codec)
+                     ->decode(data_stream);
+  }
 
   if (layer.data.size() != layer.index.size()) {
     throw std::runtime_error("ContainerReader: data/index mismatch in " +
                              e.name);
   }
-  if (timing) {
-    timing->lossless_ms = lossless_ms;
-    timing->sz_ms = sz_ms;
-    timing->reconstruct_ms = 0.0;
-  }
   return layer;
 }
 
-sparse::PrunedLayer ContainerReader::decode_layer(const std::string& name,
-                                                  DecodeTiming* timing) const {
-  return decode_layer(index_of(name), timing);
+sparse::PrunedLayer ContainerReader::decode_layer(
+    const std::string& name) const {
+  return decode_layer(index_of(name));
 }
 
 std::vector<std::uint8_t> ContainerReader::decode_index_stream(
-    std::size_t i, double* lossless_ms) const {
+    std::size_t i) const {
   const auto& e = entries_.at(i);
   if (e.kind != LayerKind::kFull) {
     throw std::runtime_error(
         "ContainerReader: decode_index_stream on a delta record: " + e.name);
   }
   const auto index_stream = checked_span(e.index, e.name);
-  util::WallTimer timer;
-  auto deltas = byte_codec(e.index.codec.empty() ? "store" : e.index.codec)
-                    ->decode(index_stream);
-  if (lossless_ms) *lossless_ms = timer.millis();
-  return deltas;
+  DecodePhaseSpan lossless("lossless", e.name);
+  return byte_codec(e.index.codec.empty() ? "store" : e.index.codec)
+      ->decode(index_stream);
 }
 
 std::span<const std::uint8_t> ContainerReader::checked_data_stream(
@@ -850,8 +834,7 @@ std::vector<float> ContainerReader::decode_bias(const std::string& name) const {
 // Full decode
 // ---------------------------------------------------------------------------
 
-DecodedModel decode_model(std::span<const std::uint8_t> bytes,
-                          bool reconstruct_dense, bool parallel) {
+DecodedModel decode_model(std::span<const std::uint8_t> bytes, bool parallel) {
   // A full decode walks every record (not the footer), so corruption in any
   // record header — not just in stream payloads — is detected.
   ContainerReader reader(bytes, ContainerReader::DirectorySource::kScanRecords);
@@ -868,24 +851,9 @@ DecodedModel decode_model(std::span<const std::uint8_t> bytes,
     }
   }
 
-  std::vector<DecodeTiming> timings(n);
   for_each_layer(n, parallel, [&](std::size_t i) {
-    auto& t = timings[i];
-    model.layers[i] = reader.decode_layer(i, &t);
-    if (reconstruct_dense) {
-      util::WallTimer timer;
-      volatile float sink = 0.0f;
-      auto dense = model.layers[i].to_dense();
-      sink = sink + (dense.empty() ? 0.0f : dense[0]);  // keep the work
-      t.reconstruct_ms = timer.millis();
-    }
+    model.layers[i] = reader.decode_layer(i);
   });
-
-  for (const auto& t : timings) {
-    model.timing.lossless_ms += t.lossless_ms;
-    model.timing.sz_ms += t.sz_ms;
-    model.timing.reconstruct_ms += t.reconstruct_ms;
-  }
   return model;
 }
 

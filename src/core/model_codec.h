@@ -25,8 +25,8 @@
 //
 // The decoder also accepts version-2 containers written before the codec
 // registry existed (implicit SZ data + self-describing lossless index
-// streams) and reports the Figure-7b timing breakdown: lossless
-// decompression, error-bounded decompression, and sparse-matrix
+// streams). Decoding times the Figure-7b phases in trace spans: lossless
+// decompression, error-bounded decompression, and (for delta records)
 // reconstruction.
 #pragma once
 
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "lossless/codec.h"
+#include "obs/trace.h"
 #include "sparse/pruned_layer.h"
 #include "sz/sz.h"
 #include "util/mutex.h"
@@ -121,28 +122,28 @@ EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
 /// SzParams template; the error bound is supplied per stream at encode time.
 std::string sz_codec_spec(const sz::SzParams& params);
 
-/// Figure 7b's decode phases, in milliseconds. Under parallel decode the
-/// per-codec fields aggregate time spent across worker threads (CPU time per
-/// phase), so the breakdown stays comparable with the serial path.
-struct DecodeTiming {
-  double lossless_ms = 0.0;
-  double sz_ms = 0.0;  // error-bounded codec (SZ by default)
-  double reconstruct_ms = 0.0;
-  double total_ms() const { return lossless_ms + sz_ms + reconstruct_ms; }
+/// One Figure 7b phase of one layer's decode — "lossless", "eb_decode" or
+/// "reconstruct" — as a trace span staged under the model of the enclosing
+/// staged span (obs::TraceSpan::set_stage()).
+class DecodePhaseSpan : public obs::TraceSpan {
+ public:
+  DecodePhaseSpan(const char* phase, const std::string& layer)
+      : TraceSpan(phase, "core") {
+    set_detail(layer);
+    set_stage();
+  }
 };
 
 struct DecodedModel {
   std::vector<sparse::PrunedLayer> layers;
   std::map<std::string, std::vector<float>> biases;  // empty if not stored
-  DecodeTiming timing;
 };
 
-/// Decodes a model; validates per-stream CRCs and measures the phase
-/// breakdown. `reconstruct_dense` additionally times the sparse->dense
-/// conversion without keeping the dense matrices. Accepts both container
-/// versions; throws std::runtime_error on corrupt or truncated input.
+/// Decodes a model; validates per-stream CRCs. Each layer's Figure 7b phases
+/// run in "lossless" and "eb_decode" trace spans (see decode_layer). Accepts
+/// every container version; throws std::runtime_error on corrupt or
+/// truncated input.
 DecodedModel decode_model(std::span<const std::uint8_t> bytes,
-                          bool reconstruct_dense = true,
                           bool parallel = true);
 
 // ---------------------------------------------------------------------------
@@ -297,18 +298,18 @@ class ContainerReader {
   /// container). Verifies the record's base CRC pins against `base_layer`
   /// and the reconstruction CRC pins against the result; throws
   /// std::runtime_error on any mismatch or on a non-kDelta record.
-  sparse::PrunedLayer apply_delta(std::size_t i,
-                                  const sparse::PrunedLayer& base_layer,
-                                  DecodeTiming* timing = nullptr) const;
+  sparse::PrunedLayer apply_delta(
+      std::size_t i, const sparse::PrunedLayer& base_layer) const;
 
   /// Decodes exactly one layer: CRC-checks and decodes that layer's two
   /// streams and nothing else. kSame/kDelta layers resolve through the
-  /// attached base (throws when none is attached). `timing`, when given,
-  /// receives the lossless / error-bounded phase split for this layer alone.
-  sparse::PrunedLayer decode_layer(std::size_t i,
-                                   DecodeTiming* timing = nullptr) const;
-  sparse::PrunedLayer decode_layer(const std::string& name,
-                                   DecodeTiming* timing = nullptr) const;
+  /// attached base (throws when none is attached). The Figure 7b phases run
+  /// in trace spans on the calling thread: "lossless" (index and mask
+  /// streams), "eb_decode" (the error-bounded data or residual stream) and,
+  /// for delta records, "reconstruct" (base + residual). Each feeds the
+  /// stage histogram of the enclosing staged span (TraceSpan::set_stage()).
+  sparse::PrunedLayer decode_layer(std::size_t i) const;
+  sparse::PrunedLayer decode_layer(const std::string& name) const;
 
   // Compressed-domain access: a consumer that can serve a layer without
   // inflating its data stream to f32 (serve/model_store.h's codebook path)
@@ -319,9 +320,8 @@ class ContainerReader {
   /// Decodes layer i's lossless index stream (position deltas) only.
   /// Full (kFull) records only — a delta record's index slot holds a mask
   /// delta, not position deltas, so this throws on kSame/kDelta.
-  /// `lossless_ms`, when given, receives the codec time.
-  std::vector<std::uint8_t> decode_index_stream(
-      std::size_t i, double* lossless_ms = nullptr) const;
+  /// Runs in a "lossless" trace span.
+  std::vector<std::uint8_t> decode_index_stream(std::size_t i) const;
 
   /// CRC-checks layer i's data stream and returns its payload bytes,
   /// undecoded. The span views the container bytes. kFull records only.
@@ -344,7 +344,7 @@ class ContainerReader {
   // Recursion through the base chain carries an explicit budget so even a
   // forged pointer cycle (two readers attached to each other) is a clean
   // error, never unbounded recursion.
-  sparse::PrunedLayer decode_layer_impl(std::size_t i, DecodeTiming* timing,
+  sparse::PrunedLayer decode_layer_impl(std::size_t i,
                                         int depth_budget) const;
   std::vector<float> decode_bias_impl(std::size_t i, int depth_budget) const;
 

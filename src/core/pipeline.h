@@ -1,82 +1,21 @@
-// The DeepSZ facade: the four-step pipeline of Figure 1 over a trained
-// network — (1) network pruning, (2) error bound assessment, (3) error-bound
-// configuration optimization, (4) compressed model generation — plus the
-// decoder that reloads a compressed model into a network.
-//
-// Two operating modes, as in Section 3.4: expected-accuracy (maximize
-// compression subject to an accuracy-loss budget; the default) and
-// expected-ratio (maximize accuracy subject to a size budget).
-//
-// run_deepsz is now a thin shim over the pluggable compressor API
-// (compress/session.h): it drives the "deepsz" strategy through a
-// CompressionSession. Prefer the session API in new code — it exposes the
-// stages individually (re-optimize without re-assessing), progress
-// callbacks, cancellation, and every other registered strategy.
+// The decoder half of the DeepSZ pipeline: reloads a compressed model into a
+// network. The four-step pipeline of Figure 1 itself — (1) network pruning,
+// (2) error bound assessment, (3) error-bound configuration optimization,
+// (4) compressed model generation — runs through compress/session.h, with
+// the "deepsz" strategy from compress/registry.h.
 #pragma once
 
-#include <map>
-#include <optional>
-#include <string>
-#include <vector>
+#include <cstdint>
+#include <span>
 
-#include "core/assessment.h"
-#include "core/model_codec.h"
-#include "core/optimizer.h"
-#include "core/pruner.h"
+#include "nn/network.h"
 
 namespace deepsz::core {
 
-/// End-to-end options.
-struct DeepSzOptions {
-  /// Step 1: per-fc-layer keep ratios (fraction of weights surviving).
-  std::map<std::string, double> keep_ratio;
-  int retrain_epochs = 2;
-  nn::SgdConfig retrain_sgd = {.lr = 0.005, .momentum = 0.9,
-                               .weight_decay = 0.0, .batch_size = 64};
-
-  /// Steps 2-3: expected-accuracy mode budget (fraction, e.g. 0.004 = 0.4%).
-  double expected_acc_loss = 0.004;
-  /// If set, switches to expected-ratio mode: compressed fc payload must not
-  /// exceed (original fc bytes) / target_ratio.
-  std::optional<double> target_ratio;
-
-  AssessmentConfig assessment;  // expected_acc_loss is filled in by run()
-
-  /// Step 4: registry spec of the lossless codec for index arrays.
-  std::string index_codec = "zstd";
-  /// Step 4: registry spec of the error-bounded codec for data arrays.
-  /// Empty derives an "sz:..." spec from the assessment SzParams, keeping
-  /// steps 2-3 (assessed with SZ) consistent with the emitted container.
-  std::string data_codec;
-};
-
-/// Everything the evaluation tables need from one pipeline run.
-struct DeepSzReport {
-  nn::Accuracy acc_original;     // trained network, before pruning
-  nn::Accuracy acc_pruned;       // after pruning + masked retraining
-  nn::Accuracy acc_decoded;      // after decode + reload
-  PruneReport prune;
-  std::vector<LayerAssessment> assessments;
-  OptimizerResult chosen;        // per-layer error bounds
-  EncodedModel model;            // the compressed network
-  std::size_t dense_fc_bytes = 0;
-  std::size_t csr_bytes = 0;
-  double compression_ratio = 0.0;  // dense fc bytes / compressed payload
-  double encode_seconds = 0.0;     // steps 2-4 (pruning excluded, as Fig. 7a)
-  DecodeTiming decode_timing;
-};
-
-/// Runs the full pipeline on `net` (modified in place: pruned, retrained, and
-/// finally left holding the decoded weights). Training data feeds the masked
-/// retraining; test data feeds the accuracy oracle.
-DeepSzReport run_deepsz(nn::Network& net, const nn::Tensor& train_images,
-                        const std::vector<int>& train_labels,
-                        const nn::Tensor& test_images,
-                        const std::vector<int>& test_labels,
-                        const DeepSzOptions& options);
-
-/// Decodes a compressed model and loads it into `net`.
-DecodeTiming load_compressed_model(std::span<const std::uint8_t> bytes,
-                                   nn::Network& net);
+/// Decodes a compressed model and loads it into `net`. Repeated loads are
+/// idempotent: the network ends up in the same state no matter how many
+/// times (or into what prior state) the model is loaded.
+void load_compressed_model(std::span<const std::uint8_t> bytes,
+                           nn::Network& net);
 
 }  // namespace deepsz::core

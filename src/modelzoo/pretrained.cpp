@@ -8,8 +8,8 @@
 #include "data/synthetic_mnist.h"
 #include "modelzoo/zoo.h"
 #include "nn/init.h"
+#include "obs/trace.h"
 #include "util/log.h"
-#include "util/timer.h"
 
 namespace deepsz::modelzoo {
 namespace {
@@ -75,14 +75,15 @@ TrainedModel pretrained(const std::string& key) {
     cfg.batch_size = r.batch;
     nn::Sgd sgd(cfg);
     util::Pcg32 rng(4242);
-    util::WallTimer timer;
+    const std::uint64_t t0 = obs::now_ns();
     for (int e = 0; e < r.epochs; ++e) {
       double loss = sgd.train_epoch(m.net, m.train.images, m.train.labels, rng);
       // Step decay over the last third of training stabilizes the final
       // weights (which the compression experiments perturb).
       if (e == (2 * r.epochs) / 3) sgd.set_lr(cfg.lr * 0.1);
       DSZ_LOG_INFO << key << " epoch " << (e + 1) << "/" << r.epochs
-                   << " loss " << loss << " (" << timer.seconds() << "s)";
+                   << " loss " << loss << " (" << static_cast<double>(obs::now_ns() - t0) / 1e9
+                   << "s)";
     }
     m.net.save(path);
   }

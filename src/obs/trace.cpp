@@ -24,18 +24,6 @@ std::uint64_t ns_between(SteadyClock::time_point a, SteadyClock::time_point b) {
   return d > 0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-}  // namespace
-
-std::uint64_t now_ns() { return ns_between(g_epoch, SteadyClock::now()); }
-
-std::uint64_t to_trace_ns(SteadyClock::time_point tp) {
-  return ns_between(g_epoch, tp);
-}
-
-#ifndef DEEPSZ_NO_TRACING
-
-namespace {
-
 /// Truncating copy into a fixed label field; always NUL-terminates.
 void copy_label(char (&dst)[kArgBytes], std::string_view src) {
   const std::size_t n = std::min(src.size(), kArgBytes - 1);
@@ -231,7 +219,17 @@ ThreadRing& local_ring() {
   return *holder.ring;
 }
 
+/// Model of the innermost staged span open on this thread ("" = none); the
+/// label set_stage() without a model inherits.
+thread_local char t_stage_model[kArgBytes] = {};
+
 }  // namespace
+
+std::uint64_t now_ns() { return ns_between(g_epoch, SteadyClock::now()); }
+
+std::uint64_t to_trace_ns(SteadyClock::time_point tp) {
+  return ns_between(g_epoch, tp);
+}
 
 std::atomic<bool>& Tracer::enabled_flag() {
   static std::atomic<bool> enabled{false};
@@ -251,7 +249,6 @@ void Tracer::emit(const char* name, const char* category,
 
 void Tracer::record_stage(std::string_view stage, std::string_view model,
                           double ms) {
-  if (!enabled()) return;
   StageMap& m = stage_map();
   util::MutexLock lock(m.mu);
   auto it = m.hists.find({std::string(stage), std::string(model)});
@@ -262,6 +259,14 @@ void Tracer::record_stage(std::string_view stage, std::string_view model,
              .first;
   }
   it->second.record(ms);
+}
+
+double Tracer::stage_total_ms(std::string_view stage,
+                              std::string_view model) {
+  StageMap& m = stage_map();
+  util::MutexLock lock(m.mu);
+  auto it = m.hists.find({std::string(stage), std::string(model)});
+  return it == m.hists.end() ? 0.0 : it->second.sum();
 }
 
 TraceSnapshot Tracer::snapshot(std::uint64_t last_ns) {
@@ -337,31 +342,40 @@ void Tracer::reset() {
 }
 
 void TraceSpan::set_detail(std::string_view detail) {
-  if (active()) copy_label(detail_, detail);
+  if (record_) copy_label(detail_, detail);
 }
 
 void TraceSpan::set_phase(std::string_view phase) {
-  if (active()) copy_label(phase_, phase);
+  if (record_) copy_label(phase_, phase);
 }
 
 void TraceSpan::set_stage(std::string_view model) {
-  if (!active()) return;
+  if (!open_) return;
+  if (!stage_set_) copy_label(outer_stage_model_, t_stage_model);
   copy_label(stage_model_, model);
+  copy_label(t_stage_model, model);
   stage_set_ = true;
 }
 
-void TraceSpan::close() {
-  if (!active()) return;
-  const std::uint64_t end = now_ns();
-  const std::uint64_t dur = end > start_ns_ ? end - start_ns_ : 0;
-  Tracer::emit(name_, category_, detail_, phase_, start_ns_, dur);
-  if (stage_set_) {
-    Tracer::record_stage(name_, stage_model_,
-                         static_cast<double>(dur) / 1e6);
-  }
-  name_ = nullptr;
+void TraceSpan::set_stage() {
+  if (t_stage_model[0] != '\0') set_stage(t_stage_model);
 }
 
-#endif  // DEEPSZ_NO_TRACING
+double TraceSpan::close() {
+  if (open_) {
+    open_ = false;
+    const std::uint64_t end = now_ns();
+    dur_ns_ = end > start_ns_ ? end - start_ns_ : 0;
+    if (record_) {
+      Tracer::emit(name_, category_, detail_, phase_, start_ns_, dur_ns_);
+    }
+    if (stage_set_) {
+      Tracer::record_stage(name_, stage_model_,
+                           static_cast<double>(dur_ns_) / 1e6);
+      copy_label(t_stage_model, outer_stage_model_);
+    }
+  }
+  return static_cast<double>(dur_ns_) / 1e6;
+}
 
 }  // namespace deepsz::obs

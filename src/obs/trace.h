@@ -1,22 +1,22 @@
-// End-to-end tracing: per-request spans from socket to codec.
+// End-to-end tracing: per-request spans from socket to codec, and the one
+// stopwatch behind every duration the system reports.
 //
-// Every instrumented scope creates a TraceSpan (RAII); on destruction the
-// span is recorded into the calling thread's lock-free ring buffer. Rings
+// Every instrumented scope creates a TraceSpan (RAII). A span always reads
+// the clock when it opens and when it closes, and close() returns the
+// measured duration, so /metrics, the compress stage reports and the
+// benches all read the same instrument. Tracing gates only the ring write:
+// when enabled at construction, the span is recorded into the calling
+// thread's lock-free ring buffer on close. Rings
 // are fixed-capacity (drop-oldest, counted), written with relaxed atomics
 // only — the hot path takes no lock — and the process-wide Tracer snapshots
 // every ring without stopping writers via per-slot sequence validation
 // (a seqlock: a torn slot fails validation and is skipped, never returned).
 //
-// Two cost regimes:
-//   - runtime-disabled (the default): every instrumentation point is ONE
-//     relaxed atomic load and a branch; no ring is touched, no label copied.
-//   - compiled out (-DDEEPSZ_NO_TRACING): TraceSpan and Tracer collapse to
-//     empty inline stubs; call sites compile to nothing.
-//
 // Alongside the rings, Tracer keeps per-(stage, model) latency histograms —
 // the aggregate view `/metrics` exports as deepsz_stage_ms{stage,model} —
-// fed by the same spans via TraceSpan::set_stage(). Span durations live in
-// the ring for a bounded window; stage histograms accumulate forever.
+// fed by spans via TraceSpan::set_stage() whether or not tracing is on.
+// Span durations live in the ring for a bounded window; stage histograms
+// accumulate forever.
 //
 // Export: obs/export.h turns a snapshot into Chrome trace-event JSON that
 // loads directly in Perfetto (ui.perfetto.dev) or chrome://tracing; the
@@ -67,19 +67,16 @@ struct StageTimes {
 };
 
 /// Nanoseconds since process start on the steady clock — the time base of
-/// every trace event. Available even with tracing compiled out (it also
-/// backs the /metrics uptime gauge).
+/// every trace event (it also backs the /metrics uptime gauge).
 std::uint64_t now_ns();
 
 /// A steady_clock time_point on the trace time base, for spans whose start
 /// was captured before the emitting code runs (queue waits).
 std::uint64_t to_trace_ns(std::chrono::steady_clock::time_point tp);
 
-#ifndef DEEPSZ_NO_TRACING
-
 class Tracer {
  public:
-  /// The one branch every instrumentation point pays when tracing is off.
+  /// Whether spans opened now are written to the rings.
   static bool enabled() {
     return enabled_flag().load(std::memory_order_relaxed);
   }
@@ -92,14 +89,18 @@ class Tracer {
                    std::string_view detail, std::string_view phase,
                    std::uint64_t start_ns, std::uint64_t dur_ns);
 
-  /// Adds one observation to the (stage, model) histogram. No-op while
-  /// disabled. Takes a mutex (not ring-buffered): callers are per-batch or
-  /// per-miss scopes, not per-element loops.
+  /// Adds one observation to the (stage, model) histogram, whether or not
+  /// tracing is enabled. Takes a mutex (not ring-buffered): callers are
+  /// per-batch or per-miss scopes, not per-element loops.
   static void record_stage(std::string_view stage, std::string_view model,
                            double ms);
 
+  /// Sum of every observation in the (stage, model) histogram so far, in
+  /// milliseconds; 0 when it has none.
+  static double stage_total_ms(std::string_view stage, std::string_view model);
+
   /// Copies every ring without stopping writers. `last_ns` > 0 keeps only
-  /// events starting within the trailing window. Events are sorted by
+  /// events ending within the trailing window. Events are sorted by
   /// start time; `dropped` counts ring overwrites since process start (or
   /// the last reset()).
   static TraceSnapshot snapshot(std::uint64_t last_ns = 0);
@@ -123,75 +124,58 @@ class Tracer {
   static std::atomic<bool>& enabled_flag();
 };
 
-/// RAII scope: records [construction, destruction) as one complete span.
-/// When tracing is disabled at construction the span is inert — every
-/// method is a no-op and nothing is recorded at destruction, even if
-/// tracing was enabled meanwhile (a half-timed span would lie).
+/// RAII scope and stopwatch: times [construction, close()) and, when
+/// tracing was enabled at construction, records it as one complete span.
+/// A span opened while tracing is disabled still times itself and still
+/// feeds its stage histogram, but never writes to the ring, even if tracing
+/// is enabled meanwhile (a half-timed span would lie).
 class TraceSpan {
  public:
   /// `name`/`category` must be static-lifetime strings (they are stored as
   /// pointers in the ring). Typical categories: "http", "server", "serve",
   /// "compress", "train".
-  explicit TraceSpan(const char* name, const char* category = "app") {
-    if (!Tracer::enabled()) return;
-    name_ = name;
-    category_ = category;
-    start_ns_ = now_ns();
-  }
+  explicit TraceSpan(const char* name, const char* category = "app")
+      : name_(name),
+        category_(category),
+        record_(Tracer::enabled()),
+        start_ns_(now_ns()) {}
   ~TraceSpan() { close(); }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  bool active() const { return name_ != nullptr; }
+  /// True until close() while the span is headed for the ring.
+  bool active() const { return record_ && open_; }
 
   /// Free-form label (layer or model name), truncated to kArgBytes - 1.
   void set_detail(std::string_view detail);
   /// Phase/kind label (decode phase, serving form, outcome).
   void set_phase(std::string_view phase);
   /// Also record the duration into the (name, model) stage histogram at
-  /// close — the bridge from spans to deepsz_stage_ms{stage,model}.
+  /// close — the bridge from spans to deepsz_stage_ms{stage,model}. Until
+  /// this span closes, spans on the same thread that call set_stage()
+  /// without a model inherit `model`.
   void set_stage(std::string_view model);
+  /// set_stage() with the model of the innermost staged span still open on
+  /// this thread; no histogram when there is none.
+  void set_stage();
 
-  /// Ends the span now (idempotent; the destructor calls it).
-  void close();
+  /// Ends the span now and returns its duration in milliseconds.
+  /// Idempotent: later calls (and the destructor) return the same value.
+  double close();
 
  private:
-  const char* name_ = nullptr;
-  const char* category_ = nullptr;
-  std::uint64_t start_ns_ = 0;
+  const char* name_;
+  const char* category_;
+  const bool record_;
+  bool open_ = true;
+  bool stage_set_ = false;
+  std::uint64_t start_ns_;
+  std::uint64_t dur_ns_ = 0;
   char detail_[kArgBytes] = {};
   char phase_[kArgBytes] = {};
   char stage_model_[kArgBytes] = {};
-  bool stage_set_ = false;
+  char outer_stage_model_[kArgBytes] = {};  // the thread's, restored at close
 };
-
-#else  // DEEPSZ_NO_TRACING: every call site compiles to nothing.
-
-class Tracer {
- public:
-  static constexpr bool enabled() { return false; }
-  static void set_enabled(bool) {}
-  static void emit(const char*, const char*, std::string_view,
-                   std::string_view, std::uint64_t, std::uint64_t) {}
-  static void record_stage(std::string_view, std::string_view, double) {}
-  static TraceSnapshot snapshot(std::uint64_t = 0) { return {}; }
-  static std::uint64_t dropped_total() { return 0; }
-  static std::vector<StageTimes> stage_snapshot() { return {}; }
-  static void set_ring_capacity(std::size_t) {}
-  static void reset() {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*, const char* = "app") {}
-  static constexpr bool active() { return false; }
-  void set_detail(std::string_view) {}
-  void set_phase(std::string_view) {}
-  void set_stage(std::string_view) {}
-  void close() {}
-};
-
-#endif  // DEEPSZ_NO_TRACING
 
 }  // namespace deepsz::obs

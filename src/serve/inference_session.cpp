@@ -4,7 +4,6 @@
 
 #include "nn/layers.h"
 #include "serve/sparse_forward.h"
-#include "util/timer.h"
 
 namespace deepsz::serve {
 
@@ -59,9 +58,7 @@ void InferenceSession::release_layers() {
 void InferenceSession::install_layer(std::size_t i, nn::Dense* dense) {
   // First time this request path reaches the layer: fetch the decoded
   // form (cache hit, coalesced wait, or an actual decode) and bind it.
-  util::WallTimer wait;
   auto served = store_.get(dense->name());
-  stats_.decode_wait_ms += wait.millis();
   // A codebook-form layer has no dense matrix to bind; it is pinned only,
   // and every forward through it must take the sparse kernel path.
   if (served->form != ServingForm::kCodebookCsr) {
@@ -98,9 +95,7 @@ nn::Tensor InferenceSession::infer(const nn::Tensor& batch) {
     // A store built without build_csr serves dense-only layers; fall through
     // to the generic walk (the layers are installed and bound either way).
     if (csr_ok && (want_sparse || any_codebook)) {
-      util::WallTimer compute;
       nn::Tensor y = sparse_fc_forward(chain, batch);
-      stats_.compute_ms += compute.millis();
       ++stats_.requests;
       stats_.samples += static_cast<std::uint64_t>(batch.dim(0));
       return y;
@@ -124,9 +119,7 @@ nn::Tensor InferenceSession::infer(const nn::Tensor& batch) {
           "\" is served in codebook form, which the generic layer walk "
           "cannot run; the network must be a pure Dense/ReLU chain");
     }
-    util::WallTimer compute;
     x = layer->forward(x, /*train=*/false);
-    stats_.compute_ms += compute.millis();
   }
   ++stats_.requests;
   stats_.samples += static_cast<std::uint64_t>(batch.dim(0));

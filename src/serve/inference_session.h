@@ -23,15 +23,11 @@
 
 namespace deepsz::serve {
 
-/// Per-session counters; decode_wait_ms includes time spent waiting for
-/// another session's coalesced decode, so it measures observed latency, not
-/// codec work attributable to this session.
+/// Per-session counters.
 struct SessionStats {
   std::uint64_t requests = 0;
   std::uint64_t samples = 0;         // total batch rows served
   std::uint64_t layer_installs = 0;  // store fetches + weight binds
-  double decode_wait_ms = 0.0;       // blocked on ModelStore::get
-  double compute_ms = 0.0;           // forward-pass time
 };
 
 class InferenceSession {

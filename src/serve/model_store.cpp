@@ -6,41 +6,8 @@
 #include "baselines/codec_adapters.h"
 #include "obs/trace.h"
 #include "util/threadpool.h"
-#include "util/timer.h"
 
 namespace deepsz::serve {
-
-namespace {
-
-/// One "decode" span (tagged with form + layer) plus sequential child spans
-/// synthesized from the codec's own DecodeTiming — the Fig. 7-style
-/// lossless / eb_decode / reconstruct breakdown, without re-timing anything.
-/// Each phase also feeds the (stage, model) histograms behind
-/// deepsz_stage_ms.
-void trace_decode(const std::string& model, const std::string& layer_name,
-                  const ServedLayer& layer, std::uint64_t t0) {
-  const std::uint64_t t1 = obs::now_ns();
-  const char* form = serving_form_name(layer.form);
-  obs::Tracer::emit("decode", "serve", layer_name, form, t0,
-                    t1 > t0 ? t1 - t0 : 0);
-  std::uint64_t cursor = t0;
-  const auto child = [&](const char* phase_name, double ms) {
-    const auto dur = static_cast<std::uint64_t>(ms * 1e6);
-    obs::Tracer::emit(phase_name, "serve", layer_name, form, cursor, dur);
-    cursor += dur;
-  };
-  child("lossless", layer.timing.lossless_ms);
-  child("eb_decode", layer.timing.sz_ms);
-  child("reconstruct", layer.timing.reconstruct_ms);
-  obs::Tracer::record_stage("decode", model, layer.timing.total_ms());
-  obs::Tracer::record_stage("decode_lossless", model,
-                            layer.timing.lossless_ms);
-  obs::Tracer::record_stage("decode_eb", model, layer.timing.sz_ms);
-  obs::Tracer::record_stage("decode_reconstruct", model,
-                            layer.timing.reconstruct_ms);
-}
-
-}  // namespace
 
 /// Rendezvous for callers that requested a layer already being decoded.
 struct ModelStore::InFlight {
@@ -137,31 +104,30 @@ std::shared_ptr<const ServedLayer> ModelStore::get(const std::string& name) {
     return flight->result;
   }
 
-  // Decode outside mu_ so distinct layers decode concurrently.
+  // Decode outside mu_ so distinct layers decode concurrently. The decode
+  // span (tagged with layer and form) is the parent of the lossless /
+  // eb_decode / reconstruct phase spans the decode opens on this thread,
+  // and stages them all under this store's model label.
   std::shared_ptr<const ServedLayer> layer;
   std::exception_ptr error;
-  const bool tracing = obs::Tracer::enabled();
-  const std::uint64_t trace_t0 = tracing ? obs::now_ns() : 0;
-  try {
-    layer = decode_now(entry_index);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  if (tracing && layer) {
-    trace_decode(options_.trace_label.empty() ? "store" : options_.trace_label,
-                 name, *layer, trace_t0);
+  {
+    obs::TraceSpan span("decode", "serve");
+    span.set_detail(name);
+    span.set_stage(options_.trace_label.empty() ? "store"
+                                                : options_.trace_label);
+    try {
+      layer = decode_now(entry_index);
+      span.set_phase(serving_form_name(layer->form));
+    } catch (...) {
+      error = std::current_exception();
+      span.set_phase("error");
+    }
   }
 
   {
     util::MutexLock lock(mu_);
     in_flight_.erase(name);
-    if (layer) {
-      stats_.decode_ms += layer->timing.total_ms();
-      stats_.lossless_ms += layer->timing.lossless_ms;
-      stats_.eb_decode_ms += layer->timing.sz_ms;
-      stats_.reconstruct_ms += layer->timing.reconstruct_ms;
-      insert_and_evict_locked(name, layer);
-    }
+    if (layer) insert_and_evict_locked(name, layer);
   }
   {
     util::MutexLock lock(flight->m);
@@ -188,15 +154,12 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_now(
       native_form_for_codec_spec(e.data.codec) == ServingForm::kCodebookCsr) {
     return decode_codebook_now(entry_index);
   }
-  core::DecodeTiming timing;
-  auto sparse_layer = reader_.decode_layer(entry_index, &timing);
-  return make_served_dense(entry_index, std::move(sparse_layer), timing);
+  return make_served_dense(entry_index, reader_.decode_layer(entry_index));
 }
 
 std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
     std::size_t entry_index) {
   const core::ContainerEntry& e = reader_.entry(entry_index);
-  core::DecodeTiming timing;
 
   // Warm hot-swap path: when the base layer is already resident in a dense
   // form, rebuild the base's two-array representation from it — the dense
@@ -217,8 +180,7 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
     }
     if (resident && !resident->dense.empty() && br->contains(e.name) &&
         br->entry(e.name).kind == core::LayerKind::kFull) {
-      auto deltas =
-          br->decode_index_stream(br->index_of(e.name), &timing.lossless_ms);
+      auto deltas = br->decode_index_stream(br->index_of(e.name));
       const std::uint64_t total =
           static_cast<std::uint64_t>(resident->rows) *
           static_cast<std::uint64_t>(resident->cols);
@@ -242,25 +204,18 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
             resident->dense[static_cast<std::size_t>(pos)]);
       }
       base_layer.index = std::move(deltas);
-      core::DecodeTiming apply_timing;
-      auto sparse_layer =
-          reader_.apply_delta(entry_index, base_layer, &apply_timing);
-      timing.lossless_ms += apply_timing.lossless_ms;
-      timing.sz_ms += apply_timing.sz_ms;
-      timing.reconstruct_ms += apply_timing.reconstruct_ms;
-      return make_served_dense(entry_index, std::move(sparse_layer), timing);
+      return make_served_dense(entry_index,
+                               reader_.apply_delta(entry_index, base_layer));
     }
   }
 
-  auto sparse_layer = reader_.decode_layer(entry_index, &timing);
-  return make_served_dense(entry_index, std::move(sparse_layer), timing);
+  return make_served_dense(entry_index, reader_.decode_layer(entry_index));
 }
 
 std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
-    std::size_t entry_index, sparse::PrunedLayer sparse_layer,
-    core::DecodeTiming timing) {
+    std::size_t entry_index, sparse::PrunedLayer sparse_layer) {
   auto served = std::make_shared<ServedLayer>();
-  util::WallTimer timer;
+  core::DecodePhaseSpan reconstruct("reconstruct", sparse_layer.name);
   served->name = sparse_layer.name;
   served->rows = sparse_layer.rows;
   served->cols = sparse_layer.cols;
@@ -283,10 +238,8 @@ std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
           static_cast<std::uint32_t>(served->csr_col.size()));
     }
   }
-  timing.reconstruct_ms += timer.millis();
   served->form = served->has_csr() ? ServingForm::kSparseCsr
                                    : ServingForm::kDenseF32;
-  served->timing = timing;
   if (options_.keep_sparse) served->sparse = std::move(sparse_layer);
   return served;
 }
@@ -295,22 +248,21 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
     std::size_t entry_index) {
   const core::ContainerEntry& e = reader_.entry(entry_index);
   auto served = std::make_shared<ServedLayer>();
-  core::DecodeTiming timing;
 
   // The index stream decodes to the paper's position deltas; the data stream
   // is a "dc" payload whose Huffman coding we undo ONCE here — the codebook
   // is never applied, so the layer stays at id width instead of f32.
-  auto deltas = reader_.decode_index_stream(entry_index, &timing.lossless_ms);
-  util::WallTimer eb_timer;
+  auto deltas = reader_.decode_index_stream(entry_index);
+  core::DecodePhaseSpan eb_decode("eb_decode", e.name);
   auto q =
       baselines::dc_decode_quantized(reader_.checked_data_stream(entry_index));
-  timing.sz_ms = eb_timer.millis();
+  eb_decode.close();
   if (q.ids.size() != deltas.size()) {
     throw std::runtime_error(
         "ModelStore: dc data/index entry count mismatch in " + e.name);
   }
 
-  util::WallTimer timer;
+  core::DecodePhaseSpan reconstruct("reconstruct", e.name);
   served->form = ServingForm::kCodebookCsr;
   served->name = e.name;
   served->rows = e.rows;
@@ -362,8 +314,6 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
   for (std::size_t r = 1; r < served->csr_rowptr.size(); ++r) {
     served->csr_rowptr[r] += served->csr_rowptr[r - 1];
   }
-  timing.reconstruct_ms = timer.millis();
-  served->timing = timing;
   return served;
 }
 

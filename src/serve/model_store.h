@@ -63,8 +63,7 @@ struct ModelStoreOptions {
   /// bytes) on destruction.
   std::shared_ptr<SharedCacheBudget> shared_budget;
   /// Model label for trace spans and deepsz_stage_ms{stage,model} — set by
-  /// ModelRepository to the serving name. Empty disables the model label
-  /// ("store" is used) but never the spans themselves.
+  /// ModelRepository to the serving name. Empty means "store".
   std::string trace_label;
   /// Base store for a delta container (DSZC v4): required when the container
   /// declares a base, rejected (construction throws) when missing. The store
@@ -122,7 +121,6 @@ struct ServedLayer {
     return csr_val[nz];
   }
   sparse::PrunedLayer sparse;       // populated iff keep_sparse
-  core::DecodeTiming timing;        // codec cost paid to produce this entry
 
   std::size_t nnz() const { return csr_col.size(); }
   double density() const {
@@ -142,11 +140,11 @@ struct ServedLayer {
   }
 };
 
-/// Cache counters. hits/misses/coalesced count get() outcomes; decode_ms is
-/// the cumulative codec time paid by misses (zero in a warm steady state),
-/// split into its phases below so the cold-miss cost of the chunked
-/// error-bounded decode (SZ stream v2 fans one layer's chunks across
-/// ThreadPool::global()) is observable per store.
+/// Cache counters. hits/misses/coalesced count get() outcomes (misses stay
+/// flat in a warm steady state). What the misses cost is timed by their
+/// "decode" span and its lossless / eb_decode / reconstruct phases, which
+/// feed the (stage, model) histograms under ModelStoreOptions::trace_label
+/// (obs::Tracer::stage_snapshot()).
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -158,13 +156,6 @@ struct CacheStats {
   // how much of the residency is compressed-domain (kCodebookCsr) versus
   // inflated f32. Sums to cached_bytes.
   std::array<std::size_t, kNumServingForms> form_bytes = {};
-  double decode_ms = 0.0;
-  // Phase breakdown of decode_ms (wall time per miss, summed): the lossless
-  // index decode, the error-bounded (block-parallel) data decode, and the
-  // dense/CSR reconstruction.
-  double lossless_ms = 0.0;
-  double eb_decode_ms = 0.0;
-  double reconstruct_ms = 0.0;
 
   std::size_t form_resident(ServingForm f) const {
     return form_bytes[static_cast<std::size_t>(f)];
@@ -233,8 +224,8 @@ class ModelStore {
   std::shared_ptr<const ServedLayer> decode_delta_now(std::size_t entry_index)
       DEEPSZ_EXCLUDES(mu_);
   std::shared_ptr<const ServedLayer> make_served_dense(
-      std::size_t entry_index, sparse::PrunedLayer sparse_layer,
-      core::DecodeTiming timing) DEEPSZ_EXCLUDES(mu_);
+      std::size_t entry_index, sparse::PrunedLayer sparse_layer)
+      DEEPSZ_EXCLUDES(mu_);
   void insert_and_evict_locked(const std::string& name,
                                std::shared_ptr<const ServedLayer> layer)
       DEEPSZ_REQUIRES(mu_);

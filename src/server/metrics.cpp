@@ -79,7 +79,6 @@ void ServerMetrics::record_batch(std::int64_t rows, double forward_ms) {
   util::MutexLock lock(hist_mu_);
   batch_rows_.record(static_cast<double>(rows));
   execute_ms_.record(forward_ms);
-  forward_ms_ += forward_ms;
 }
 
 ServerMetrics::Snapshot ServerMetrics::snapshot() const {
@@ -95,7 +94,6 @@ ServerMetrics::Snapshot ServerMetrics::snapshot() const {
              .batches = batches_.load(std::memory_order_relaxed),
              .batched_rows = batched_rows_.load(std::memory_order_relaxed),
              .queue_depth = queue_depth_.load(std::memory_order_relaxed),
-             .forward_ms = 0.0,
              .latency_ms = latency_buckets(),
              .batch_rows_hist = batch_buckets(),
              .queue_ok_ms = latency_buckets(),
@@ -109,7 +107,6 @@ ServerMetrics::Snapshot ServerMetrics::snapshot() const {
   s.queue_ok_ms = queue_ok_ms_;
   s.queue_rejected_ms = queue_rejected_ms_;
   s.execute_ms = execute_ms_;
-  s.forward_ms = forward_ms_;
   return s;
 }
 
@@ -123,7 +120,6 @@ void ServerMetrics::reset() {
   queue_ok_ms_.reset();
   queue_rejected_ms_.reset();
   execute_ms_.reset();
-  forward_ms_ = 0.0;
 }
 
 }  // namespace deepsz::server

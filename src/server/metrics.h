@@ -52,7 +52,6 @@ class ServerMetrics {
     std::uint64_t batches = 0;
     std::uint64_t batched_rows = 0;
     std::int64_t queue_depth = 0;
-    double forward_ms = 0.0;            // cumulative batched forward time
     util::Histogram latency_ms;         // per-request, kOk only
     util::Histogram batch_rows_hist;    // rows per executed batch
     util::Histogram queue_ok_ms;        // queue wait, served requests
@@ -81,7 +80,6 @@ class ServerMetrics {
   util::Histogram queue_ok_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
   util::Histogram queue_rejected_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
   util::Histogram execute_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
-  double forward_ms_ DEEPSZ_GUARDED_BY(hist_mu_) = 0.0;
 };
 
 }  // namespace deepsz::server

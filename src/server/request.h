@@ -44,7 +44,6 @@ struct InferResult {
   std::int64_t rows = 0;
   std::int64_t cols = 0;
   double queue_ms = 0.0;       // admission -> batch start
-  double compute_ms = 0.0;     // the batched forward pass this rode in
   std::int64_t batch_rows = 0; // total rows of that batch (batching evidence)
 
   bool ok() const { return status == InferStatus::kOk; }

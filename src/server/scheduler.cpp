@@ -6,7 +6,6 @@
 
 #include "obs/trace.h"
 #include "serve/inference_session.h"
-#include "util/timer.h"
 
 namespace deepsz::server {
 
@@ -96,6 +95,7 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
 
   Pending pending;
   pending.req = std::move(req);
+  // deepsz-lint: allow(clock-outside-obs) admission stamp for deadlines
   pending.enqueued = Clock::now();
 
   {
@@ -181,6 +181,7 @@ void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
       if (mq.q.empty()) return;  // stop && drained
 
       take_front_locked(mq, batch, rows);
+      // deepsz-lint: allow(clock-outside-obs) opens the linger window
       gather_t0 = Clock::now();
 
       // Gather: drain whatever is queued, then (unless stopping) linger up
@@ -189,7 +190,7 @@ void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
       // on stop), not on every arrival — per-request wakeups here would
       // cost more than the batching saves.
       const auto close_at =
-          Clock::now() + std::chrono::microseconds(options_.max_delay_us);
+          gather_t0 + std::chrono::microseconds(options_.max_delay_us);
       for (;;) {
         drain_fitting_locked(mq, batch, rows);
         if (rows >= options_.max_batch || mq.stop ||
@@ -217,7 +218,7 @@ void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
     if (obs::Tracer::enabled()) {
       // The linger window: first pop of this batch until the gather closed.
       const std::uint64_t t0 = obs::to_trace_ns(gather_t0);
-      const std::uint64_t t1 = obs::to_trace_ns(Clock::now());
+      const std::uint64_t t1 = obs::now_ns();
       obs::Tracer::emit("linger", "server", name,
                         std::to_string(batch.size()) + "req", t0,
                         t1 > t0 ? t1 - t0 : 0);
@@ -228,30 +229,33 @@ void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
 
 void RequestScheduler::finish(Pending& p, InferResult result) {
   if (metrics_) {
-    metrics_->record_result(result.status, ms_since(p.enqueued, Clock::now()),
+    const std::uint64_t latency_ns =
+        obs::now_ns() - obs::to_trace_ns(p.enqueued);
+    metrics_->record_result(result.status,
+                            static_cast<double>(latency_ns) / 1e6,
                             result.queue_ms);
   }
   p.promise.set_value(std::move(result));
 }
 
 /// One "queue" span per request that reached a batch: admission to batch
-/// start, phase "ok" or "expired".
+/// start, phase "ok" or "expired". The stage histogram records it whether
+/// or not tracing is on.
 void RequestScheduler::trace_queue_wait(const std::string& name,
                                         const Pending& p,
                                         Clock::time_point batch_start,
                                         const char* outcome) {
-  if (!obs::Tracer::enabled()) return;
   const std::uint64_t t0 = obs::to_trace_ns(p.enqueued);
   const std::uint64_t t1 = obs::to_trace_ns(batch_start);
-  obs::Tracer::emit("queue", "server", name, outcome, t0,
-                    t1 > t0 ? t1 - t0 : 0);
-  obs::Tracer::record_stage("queue", name,
-                            ms_since(p.enqueued, batch_start));
+  const std::uint64_t dur = t1 > t0 ? t1 - t0 : 0;
+  obs::Tracer::emit("queue", "server", name, outcome, t0, dur);
+  obs::Tracer::record_stage("queue", name, static_cast<double>(dur) / 1e6);
 }
 
 void RequestScheduler::execute_batch(const std::string& name,
                                      std::vector<Pending> batch,
                                      WorkerState& state) {
+  // deepsz-lint: allow(clock-outside-obs) checked against deadlines
   const auto start = Clock::now();
 
   // Deadline-expired requests complete without touching the model; the rest
@@ -312,14 +316,12 @@ void RequestScheduler::execute_batch(const std::string& name,
 
     for (const auto& p : runnable) trace_queue_wait(name, p, start, "ok");
 
-    util::WallTimer forward;
     obs::TraceSpan forward_span("forward", "server");
     forward_span.set_detail(name);
     forward_span.set_phase(std::to_string(rows) + "rows");
     forward_span.set_stage(name);
     nn::Tensor y = state.session->infer(x);
-    forward_span.close();
-    const double forward_ms = forward.millis();
+    const double forward_ms = forward_span.close();
     if (metrics_) metrics_->record_batch(rows, forward_ms);
 
     const std::int64_t cols = y.dim(1);
@@ -332,7 +334,6 @@ void RequestScheduler::execute_batch(const std::string& name,
       r.output.assign(src, src + p.req.rows * cols);
       src += p.req.rows * cols;
       r.queue_ms = ms_since(p.enqueued, start);
-      r.compute_ms = forward_ms;
       r.batch_rows = rows;
       finish(p, std::move(r));
     }

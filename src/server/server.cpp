@@ -174,7 +174,10 @@ std::vector<std::uint8_t> format_binary(const std::vector<float>& values,
   return out;
 }
 
-void append_cache_json(std::ostringstream& os, const serve::CacheStats& s) {
+/// `decode_ms` is the model's "decode" stage total: the time its cache
+/// misses spent decoding, cumulative per serving name.
+void append_cache_json(std::ostringstream& os, const serve::CacheStats& s,
+                       double decode_ms) {
   os << "{\"hits\":" << s.hits << ",\"misses\":" << s.misses
      << ",\"coalesced\":" << s.coalesced << ",\"evictions\":" << s.evictions
      << ",\"resident_bytes\":" << s.cached_bytes
@@ -185,7 +188,7 @@ void append_cache_json(std::ostringstream& os, const serve::CacheStats& s) {
     os << "\"" << serve::serving_form_name(static_cast<serve::ServingForm>(f))
        << "\":" << s.form_bytes[static_cast<std::size_t>(f)];
   }
-  os << "},\"decode_ms\":" << s.decode_ms << "}";
+  os << "},\"decode_ms\":" << decode_ms << "}";
 }
 
 std::string compiler_label() {
@@ -209,7 +212,8 @@ void append_model_json(std::ostringstream& os, const ServedModel& m) {
      << ",\"shipped_bytes\":" << m.shipped_bytes << ",\"base\":\""
      << json_escaped(m.base_ref) << "\",\"source_path\":\""
      << json_escaped(m.source_path) << "\",\"cache\":";
-  append_cache_json(os, m.store->stats());
+  append_cache_json(os, m.store->stats(),
+                    obs::Tracer::stage_total_ms("decode", m.name));
   os << "}";
 }
 
@@ -354,6 +358,7 @@ HttpResponse Server::handle_infer(const std::string& name,
     if (end == d->c_str() || *end != '\0' || !(ms > 0.0)) {
       return HttpResponse::text(400, "bad x-deepsz-deadline-ms\n");
     }
+    // deepsz-lint: allow(clock-outside-obs) the request's deadline
     infer_req.deadline = std::chrono::steady_clock::now() +
                          std::chrono::microseconds(
                              static_cast<std::int64_t>(ms * 1000.0));
@@ -477,7 +482,7 @@ std::string Server::metrics_text() const {
   family("mean_batch_rows", "gauge", "Mean rows per executed batch.");
   os << "deepsz_mean_batch_rows " << s.mean_batch_rows() << "\n";
   family("forward_ms_total", "counter", "Cumulative batched forward time.");
-  os << "deepsz_forward_ms_total " << s.forward_ms << "\n";
+  os << "deepsz_forward_ms_total " << s.execute_ms.sum() << "\n";
   family("request_latency_ms", "gauge",
          "Admission-to-completion latency quantiles, served requests only.");
   quantiles("request_latency_ms", s.latency_ms);

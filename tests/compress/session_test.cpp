@@ -1,11 +1,10 @@
 // CompressionSession semantics: stage ordering, per-stage reports, stage
 // re-use (re-optimize under a new budget without re-assessing), cooperative
-// cancellation, and the run_deepsz shim's equivalence to a full session run.
+// cancellation.
 #include <gtest/gtest.h>
 
 #include "compress/registry.h"
 #include "compress/session.h"
-#include "core/pipeline.h"
 #include "tests/compress/tiny_model.h"
 
 namespace deepsz {
@@ -148,32 +147,6 @@ TEST(CompressionSessionTest, CancelMidAssessLeavesSessionUsable) {
   EXPECT_TRUE(session.stage_done(Stage::kAssess));
   auto report = session.run();
   EXPECT_FALSE(report.model.bytes.empty());
-}
-
-TEST(CompressionSessionTest, RunDeepszShimMatchesSessionOutput) {
-  auto shim = testing::make_tiny_pruned(/*prune=*/false);
-  core::DeepSzOptions options;
-  options.keep_ratio = {{"fc1", 0.10}, {"fc2", 0.30}};
-  options.retrain_epochs = 1;
-  options.expected_acc_loss = 0.02;
-  auto report = core::run_deepsz(shim.net, shim.train.images,
-                                 shim.train.labels, shim.test.images,
-                                 shim.test.labels, options);
-
-  auto direct = testing::make_tiny_pruned(/*prune=*/false);
-  auto session = make_session(direct, "deepsz", tiny_spec());
-  auto session_report = session.run();
-
-  // Same deterministic inputs, same pipeline underneath: identical
-  // containers and identical chosen bounds.
-  EXPECT_EQ(report.model.bytes, session_report.model.bytes);
-  ASSERT_EQ(report.chosen.choices.size(),
-            session_report.chosen.choices.size());
-  for (std::size_t i = 0; i < report.chosen.choices.size(); ++i) {
-    EXPECT_DOUBLE_EQ(report.chosen.choices[i].eb,
-                     session_report.chosen.choices[i].eb);
-  }
-  EXPECT_DOUBLE_EQ(report.acc_decoded.top1, session_report.acc_decoded.top1);
 }
 
 }  // namespace

@@ -55,8 +55,8 @@ TEST(StrategyContainerTest, EveryRegisteredStrategyRoundTripsTheContainer) {
     EXPECT_GT(report.compression_ratio, 1.0);
 
     // Full decode is deterministic: same bytes in, bit-exact layers out.
-    auto once = core::decode_model(report.model.bytes, false);
-    auto twice = core::decode_model(report.model.bytes, false);
+    auto once = core::decode_model(report.model.bytes);
+    auto twice = core::decode_model(report.model.bytes);
     ASSERT_EQ(once.layers.size(), pruned.size());
     for (std::size_t i = 0; i < once.layers.size(); ++i) {
       EXPECT_TRUE(layers_bit_exact(once.layers[i], twice.layers[i]));

@@ -69,14 +69,18 @@ TEST(ModelCodec, TruncatedModelThrows) {
   EXPECT_ANY_THROW(decode_model(model.bytes));
 }
 
-TEST(ModelCodec, DecodeTimingPhasesPopulated) {
+TEST(ModelCodec, DecodePhaseSpansFeedStageHistograms) {
+  // The phase spans of a serial decode stage under the enclosing staged
+  // span's model, tracing on or off.
   auto layers = two_layers();
   auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
                             sz::SzParams{});
-  auto decoded = decode_model(model.bytes, /*reconstruct_dense=*/true);
-  EXPECT_GE(decoded.timing.lossless_ms, 0.0);
-  EXPECT_GT(decoded.timing.sz_ms, 0.0);
-  EXPECT_GT(decoded.timing.total_ms(), 0.0);
+  obs::TraceSpan span("decode_model", "test");
+  span.set_stage("codec_test");
+  decode_model(model.bytes, /*parallel=*/false);
+  EXPECT_GT(span.close(), 0.0);
+  EXPECT_GT(obs::Tracer::stage_total_ms("lossless", "codec_test"), 0.0);
+  EXPECT_GT(obs::Tracer::stage_total_ms("eb_decode", "codec_test"), 0.0);
 }
 
 TEST(ModelCodec, BiasesRoundTripVerbatim) {

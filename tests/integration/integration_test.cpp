@@ -4,7 +4,8 @@
 // benchmark harnesses.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
+#include "compress/registry.h"
+#include "compress/session.h"
 #include "modelzoo/paper_specs.h"
 #include "modelzoo/pretrained.h"
 
@@ -27,15 +28,17 @@ TEST_F(LeNet300E2E, FullPipelineMeetsAccuracyBudget) {
   auto m = modelzoo::pretrained("lenet300");  // fresh copy from cache
   const auto& spec = modelzoo::paper_spec("lenet300");
 
-  core::DeepSzOptions opts;
+  compress::CompressSpec opts;
   for (const auto& fc : spec.fc) {
-    opts.keep_ratio[fc.layer] = fc.keep_ratio;
+    opts.prune.keep_ratio[fc.layer] = fc.keep_ratio;
   }
-  opts.retrain_epochs = 2;
+  opts.prune.retrain_epochs = 2;
   opts.expected_acc_loss = spec.expected_acc_loss / 100.0;  // 0.2% -> 0.002
 
-  auto report = core::run_deepsz(m.net, m.train.images, m.train.labels,
-                                 m.test.images, m.test.labels, opts);
+  compress::CompressionSession session(
+      compress::CompressorRegistry::instance().make("deepsz"), m.net,
+      m.train.images, m.train.labels, m.test.images, m.test.labels, opts);
+  auto report = session.run();
 
   // The headline claims, in shape: large overall ratio at tiny accuracy loss.
   EXPECT_GT(report.compression_ratio, 15.0);

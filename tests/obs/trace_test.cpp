@@ -1,5 +1,6 @@
-// Tracing subsystem: ring semantics, RAII spans, drop-oldest accounting,
-// stage histograms, concurrent snapshot safety, and the Chrome JSON export.
+// Tracing subsystem: ring semantics, RAII spans as the one stopwatch,
+// drop-oldest accounting, stage histograms (fed with tracing on or off),
+// concurrent snapshot safety, and the Chrome JSON export.
 //
 // Tracer state is process-global, so every test starts from a clean slate
 // (fixture enables + resets) and disables tracing on the way out — other
@@ -14,14 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "compress/registry.h"
+#include "compress/session.h"
 #include "obs/export.h"
+#include "server/scheduler.h"
+#include "tests/compress/tiny_model.h"
+#include "tests/server/test_containers.h"
 
 namespace deepsz::obs {
 namespace {
-
-// Under -DDEEPSZ_NO_TRACING the subsystem is inline no-op stubs; only the
-// clock survives, so only the clock tests do.
-#ifndef DEEPSZ_NO_TRACING
 
 class ObsTraceTest : public ::testing::Test {
  protected:
@@ -54,18 +56,44 @@ TEST_F(ObsTraceTest, SpanRecordsNameCategoryAndLabels) {
 
 TEST_F(ObsTraceTest, CloseIsIdempotent) {
   TraceSpan span("once", "test");
-  span.close();
-  span.close();
+  const double ms = span.close();
+  EXPECT_EQ(span.close(), ms);
   EXPECT_FALSE(span.active());
   EXPECT_EQ(Tracer::snapshot().events.size(), 1u);
+}
+
+TEST_F(ObsTraceTest, NestedSpansInheritTheStageModel) {
+  {
+    TraceSpan outer("decode", "test");
+    outer.set_stage("lenet");
+    TraceSpan("lossless", "test").set_stage();
+    TraceSpan("forward", "test").set_stage("other");
+    TraceSpan("eb_decode", "test").set_stage();  // "lenet" again
+  }
+  TraceSpan("reconstruct", "test").set_stage();  // no staged span open
+  std::set<std::string> seen;
+  for (const auto& st : Tracer::stage_snapshot()) {
+    seen.insert(st.stage + "/" + st.model);
+  }
+  EXPECT_EQ(seen, (std::set<std::string>{"decode/lenet", "lossless/lenet",
+                                         "forward/other", "eb_decode/lenet"}));
 }
 
 TEST_F(ObsTraceTest, DisabledSpanIsInertEvenIfEnabledLater) {
   Tracer::set_enabled(false);
   TraceSpan span("ghost", "test");
+  span.set_stage("m");
   Tracer::set_enabled(true);  // mid-span enable must not half-time it
-  span.close();
+  const std::uint64_t t0 = now_ns();
+  while (now_ns() - t0 < 200'000) {
+  }
+  // Only the ring write is gated: the span still times itself and feeds
+  // its stage histogram.
+  const double ms = span.close();
+  EXPECT_GE(ms, 0.2);
   EXPECT_EQ(Tracer::snapshot().events.size(), 0u);
+  EXPECT_DOUBLE_EQ(Tracer::stage_total_ms("ghost", "m"), ms);
+  EXPECT_EQ(Tracer::stage_total_ms("ghost", "other"), 0.0);
 }
 
 TEST_F(ObsTraceTest, LongLabelsTruncateWithNulTermination) {
@@ -102,11 +130,15 @@ TEST_F(ObsTraceTest, DropOldestKeepsNewestAndCounts) {
 
 TEST_F(ObsTraceTest, SnapshotWindowFiltersOldEvents) {
   // An event that ended long ago (1 ns after process start) vs one ending
-  // now; a 1 ms trailing window must keep only the recent one.
+  // now; a 1 ms trailing window must keep only the recent one. The trace
+  // clock counts from process start, so wait until the process is older
+  // than twice the window: before that, "long ago" is inside the window.
+  constexpr std::uint64_t kWindowNs = 1'000'000;
+  while (now_ns() < 2 * kWindowNs) std::this_thread::yield();
   Tracer::emit("old", "test", "", "", 0, 1);
   const std::uint64_t now = now_ns();
   Tracer::emit("new", "test", "", "", now, 10);
-  auto snap = Tracer::snapshot(1'000'000);
+  auto snap = Tracer::snapshot(kWindowNs);
   ASSERT_EQ(snap.events.size(), 1u);
   EXPECT_STREQ(snap.events[0].name, "new");
 }
@@ -210,10 +242,47 @@ TEST_F(ObsTraceTest, EmitIsNoOpWhileDisabled) {
   Tracer::record_stage("off", "m", 1.0);
   Tracer::set_enabled(true);
   EXPECT_EQ(Tracer::snapshot().events.size(), 0u);
-  EXPECT_EQ(Tracer::stage_snapshot().size(), 0u);
+  // Only the ring is gated: stage histograms aggregate regardless.
+  EXPECT_EQ(Tracer::stage_snapshot().size(), 1u);
 }
 
-#endif  // DEEPSZ_NO_TRACING
+TEST_F(ObsTraceTest, StageHistogramsFillWithTracingOff) {
+  Tracer::set_enabled(false);
+  {
+    server::ModelRepository repo;
+    repo.load("m", server::testing::tiny_container());
+    server::RequestScheduler sched(repo);
+    server::InferRequest req;
+    req.rows = 1;
+    req.input.assign(32, 0.5f);
+    ASSERT_EQ(sched.infer("m", std::move(req)).status,
+              server::InferStatus::kOk);
+  }
+  auto tiny = deepsz::testing::make_tiny_pruned(/*prune=*/false);
+  compress::CompressSpec spec;
+  spec.prune.keep_ratio = {{"fc1", 0.10}, {"fc2", 0.30}};
+  spec.prune.retrain_epochs = 1;
+  spec.expected_acc_loss = 0.02;
+  compress::CompressionSession session(
+      compress::CompressorRegistry::instance().make("deepsz"), tiny.net,
+      tiny.train.images, tiny.train.labels, tiny.test.images,
+      tiny.test.labels, spec);
+  const auto report = session.run();
+  for (const auto& stage : report.stages) {
+    EXPECT_GT(stage.seconds, 0.0) << compress::stage_name(stage.stage);
+  }
+
+  std::set<std::string> stages;
+  for (const auto& st : Tracer::stage_snapshot()) {
+    if (st.hist.count() > 0) stages.insert(st.stage);
+  }
+  for (const char* stage :
+       {"queue", "forward", "decode", "lossless", "eb_decode", "reconstruct",
+        "prune", "assess", "optimize", "encode"}) {
+    EXPECT_TRUE(stages.count(stage)) << stage;
+  }
+  EXPECT_TRUE(Tracer::snapshot().events.empty());  // nothing reached a ring
+}
 
 TEST(ObsTraceTime, NowIsMonotonicNonDecreasing) {
   const auto a = now_ns();

@@ -92,8 +92,7 @@ TEST(ContainerReader, DecodedLayerMatchesFullDecode) {
 
   ContainerReader reader(model.bytes);
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    DecodeTiming t;
-    auto one = reader.decode_layer(layers[i].name, &t);
+    auto one = reader.decode_layer(layers[i].name);
     EXPECT_EQ(one.data, full.layers[i].data);
     EXPECT_EQ(one.index, full.layers[i].index);
     EXPECT_EQ(one.rows, full.layers[i].rows);

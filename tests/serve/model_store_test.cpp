@@ -2,17 +2,22 @@
 // coalesced in-flight decodes, and eviction that never invalidates readers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "codec/registry.h"
+#include "core/delta_codec.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
+#include "obs/trace.h"
 #include "serve/model_store.h"
+#include "util/rng.h"
 
 namespace deepsz::serve {
 namespace {
@@ -56,7 +61,8 @@ TEST(ModelStore, MissThenHitAndPeek) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.cached_layers, 1u);
   EXPECT_GT(stats.cached_bytes, 0u);
-  EXPECT_GT(stats.decode_ms, 0.0);
+  // The miss was timed by its decode span, staged under the default label.
+  EXPECT_GT(obs::Tracer::stage_total_ms("decode", "store"), 0.0);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
   EXPECT_THROW(store.get("nope"), std::out_of_range);
 }
@@ -226,7 +232,6 @@ TEST(ModelStore, WarmupFillsCacheInParallel) {
   stats = store.stats();
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 1.0);
-  EXPECT_DOUBLE_EQ(stats.decode_ms, 0.0);
 }
 
 TEST(ModelStore, CorruptLayerFailsEveryWaiterAndCachesNothing) {
@@ -387,6 +392,76 @@ TEST(ModelStore, KeepSparseRetainsTwoArrayForm) {
   auto served = store.get("fc6");
   EXPECT_EQ(served->sparse.index, layers[0].index);
   EXPECT_EQ(served->sparse.data.size(), layers[0].data.size());
+}
+
+TEST(ModelStore, DecodePhaseSpansNestInsideTheirDecodeSpan) {
+  // Containers first: encoding a delta decodes both sides, outside any store.
+  const auto base_layers = some_layers(2);
+  auto next_layers = base_layers;
+  util::Pcg32 rng(0xde17a);
+  for (auto& l : next_layers) {
+    for (auto& v : l.data) v += static_cast<float>(rng.normal(0.0, 2e-3));
+  }
+  const auto base = encode(base_layers);
+  core::DeltaOptions dopts;
+  dopts.base_id = "base";
+  const auto delta_bytes =
+      core::encode_delta_model(base, encode(next_layers), dopts).bytes;
+  core::ContainerOptions dc;
+  dc.data_codec = "dc:bits=4,iters=8";
+  dc.index_codec = "huffman";
+  const auto dc_bytes = encode(base_layers, dc);
+
+  obs::Tracer::set_enabled(true);
+  obs::Tracer::reset();
+  ModelStoreOptions opts;
+  opts.build_csr = true;
+  opts.native_form = true;  // dc layers serve as codebook-CSR
+  ModelStore(base, opts).get("fc6");
+  ModelStore(dc_bytes, opts).get("fc6");
+  opts.base_store = std::make_shared<ModelStore>(base);
+  ModelStore delta(delta_bytes, opts);
+  delta.get("fc6");                // cold: through the base chain
+  opts.base_store->get("fc7");
+  delta.get("fc7");                // warm: against the resident base layer
+  const auto events = obs::Tracer::snapshot().events;
+  obs::Tracer::set_enabled(false);
+  obs::Tracer::reset();
+  ASSERT_EQ(delta.reader().entry("fc6").kind, core::LayerKind::kDelta);
+  ASSERT_EQ(delta.reader().entry("fc7").kind, core::LayerKind::kDelta);
+
+  // A measured phase opens after its parent decode did and closes before it
+  // does, on the same thread (a child back-dated to the parent's start is a
+  // synthesized one).
+  const auto inside = [](const obs::TraceEvent& child,
+                         const obs::TraceEvent* parent) {
+    return child.tid == parent->tid && child.start_ns > parent->start_ns &&
+           child.start_ns + child.dur_ns <= parent->start_ns + parent->dur_ns;
+  };
+  std::vector<const obs::TraceEvent*> decodes;
+  for (const auto& e : events) {
+    if (std::string(e.name) == "decode") decodes.push_back(&e);
+  }
+  ASSERT_EQ(decodes.size(), 5u);
+  using Phases = std::multiset<std::string>;
+  std::vector<Phases> phases(decodes.size());
+  for (const auto& e : events) {
+    if (std::string(e.name) == "decode") continue;
+    const auto d = std::find_if(decodes.begin(), decodes.end(),
+                                [&](const auto* p) { return inside(e, p); });
+    ASSERT_NE(d, decodes.end()) << e.name << " of " << e.detail;
+    phases[static_cast<std::size_t>(d - decodes.begin())].insert(e.name);
+  }
+  // In call order: full, codebook, cold delta (the base layer's streams,
+  // then the delta's), the base store's fc7, warm delta (the resident base's
+  // index stream, then the delta's).
+  const Phases one = {"lossless", "eb_decode", "reconstruct"};
+  const std::vector<Phases> want = {
+      one, one,
+      {"lossless", "lossless", "eb_decode", "eb_decode", "reconstruct",
+       "reconstruct"},
+      one, {"lossless", "lossless", "eb_decode", "reconstruct", "reconstruct"}};
+  EXPECT_EQ(phases, want);
 }
 
 }  // namespace

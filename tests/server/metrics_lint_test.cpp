@@ -270,12 +270,9 @@ TEST_F(MetricsLintTest, RequiredFamiliesPresent) {
   }
   EXPECT_TRUE(ok_outcome);
   EXPECT_TRUE(rejected_outcome);
-#ifndef DEEPSZ_NO_TRACING
-  // Spans only flow into stage_ms with the subsystem compiled in.
   EXPECT_TRUE(stages.count("queue")) << "stages seen: " << stages.size();
   EXPECT_TRUE(stages.count("decode"));
   EXPECT_TRUE(stages.count("forward"));
-#endif
 }
 
 TEST_F(MetricsLintTest, BuildInfoAndUptime) {
@@ -358,7 +355,6 @@ TEST_F(MetricsLintTest, TraceEndpoint) {
   EXPECT_NE(body.find("\"traceEvents\":["), std::string::npos);
   auto windowed = loopback_.get("/v1/trace?last_ms=60000");
   ASSERT_EQ(windowed.status, 200);
-#ifndef DEEPSZ_NO_TRACING
   for (const char* span : {"\"queue\"", "\"decode\"", "\"forward\"",
                            "\"http_parse\"", "\"serialize\""}) {
     EXPECT_NE(body.find(span), std::string::npos) << span;
@@ -366,7 +362,6 @@ TEST_F(MetricsLintTest, TraceEndpoint) {
   // Windowed query: everything above just happened, so it must survive a
   // generous trailing window.
   EXPECT_NE(windowed.body_text().find("\"forward\""), std::string::npos);
-#endif
 
   EXPECT_EQ(loopback_.get("/v1/trace?last_ms=junk").status, 400);
   EXPECT_EQ(loopback_.get("/v1/trace?last_ms=-5").status, 400);

@@ -56,7 +56,6 @@ double serve_and_check_warm(const std::vector<std::uint8_t>& container,
 
   auto stats = store.stats();
   EXPECT_EQ(stats.misses, 0u) << "warm serve decoded a layer";
-  EXPECT_DOUBLE_EQ(stats.decode_ms, 0.0) << "warm serve paid codec time";
   return static_cast<double>(hits.top1) / static_cast<double>(hits.total);
 }
 

@@ -16,6 +16,9 @@ docs/static_analysis.md for the full rationale):
                      unique_lock outside src/util/. Everything else uses
                      util::Mutex / util::MutexLock / util::CondVar so clang
                      -Wthread-safety sees every acquisition.
+  clock-outside-obs  No *_clock::now() / Clock::now() in src/ outside
+                     src/obs/: durations come from obs::TraceSpan. Clock
+                     reads that drive behaviour (deadlines) carry an allow().
   global-pool-in-codec
                      Codec code must not submit work to ThreadPool::global()
                      directly: nested submission from a pool worker
@@ -216,6 +219,33 @@ def check_naked_mutex(path: str, lines: list[str]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: clock-outside-obs
+
+CLOCK_RE = re.compile(
+    r"\b(steady_clock|system_clock|high_resolution_clock|\w*Clock)"
+    r"::now\s*\(")
+
+
+def check_clock_outside_obs(path: str, lines: list[str]) -> list[Finding]:
+    norm = path.replace(os.sep, "/")
+    in_src = norm.startswith("src/") or "/src/" in norm
+    if not in_src or "src/obs/" in norm:
+        return []
+    out: list[Finding] = []
+    for i, raw in enumerate(lines):
+        code = strip_comments_and_strings(raw)
+        for m in CLOCK_RE.finditer(code):
+            if suppressed(lines, i, "clock-outside-obs"):
+                continue
+            out.append(Finding(
+                path, i + 1, "clock-outside-obs",
+                f"{m.group(1)}::now() outside src/obs/; time with an "
+                "obs::TraceSpan (close() returns the duration) or "
+                "obs::now_ns(), or allow() a read that drives behaviour"))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rule: global-pool-in-codec
 
 CODEC_DIRS = ("sz", "lossless", "codec", "baselines", "compress", "core",
@@ -252,6 +282,7 @@ RULES = [
     check_untrusted_alloc,
     check_wrap_add_bound,
     check_naked_mutex,
+    check_clock_outside_obs,
     check_global_pool,
 ]
 
@@ -339,6 +370,19 @@ SELF_TESTS = [
     """, []),
     ("annotated wrapper use is fine", "src/serve/good6.cpp", """
         util::MutexLock lock(mu_);
+    """, []),
+    ("stopwatch clock read in serve", "src/serve/bad10.cpp", """
+        const auto t0 = std::chrono::steady_clock::now();
+    """, ["clock-outside-obs"]),
+    ("aliased clock read in server", "src/server/bad11.cpp", """
+        auto start = Clock::now();
+    """, ["clock-outside-obs"]),
+    ("clock read inside obs is fine", "src/obs/good10.cpp", """
+        const auto t = SteadyClock::now();
+    """, []),
+    ("behavioural clock read allowed", "src/server/good11.cpp", """
+        // deepsz-lint: allow(clock-outside-obs) the request's deadline
+        deadline = std::chrono::steady_clock::now() + budget;
     """, []),
     ("global pool submit in codec", "src/sz/bad7.cpp", """
         util::ThreadPool::global().submit([&] { work(); });

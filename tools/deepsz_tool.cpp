@@ -59,7 +59,6 @@
 #include "server/server.h"
 #include "sz/sz.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -345,7 +344,7 @@ int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   auto& registry = deepsz::codec::CodecRegistry::instance();
-  deepsz::util::WallTimer timer;
+  deepsz::obs::TraceSpan command("command", "tool");
 
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
     print_usage(stdout);
@@ -524,7 +523,7 @@ int run(int argc, char** argv) {
                 "%.4f in %.1f s\n",
                 argv[2], static_cast<long long>(start_step),
                 static_cast<long long>(trainer.step_count()), loss, acc0.top1,
-                acc1.top1, timer.millis() / 1000.0);
+                acc1.top1, command.close() / 1000.0);
     for (const auto& path : manager.written()) {
       std::printf("  checkpoint %s\n", path.c_str());
     }
@@ -620,7 +619,7 @@ int run(int argc, char** argv) {
     std::printf("%zu floats -> %zu bytes (%.2fx, %s) in %.0f ms\n",
                 data.size(), stream.size(),
                 static_cast<double>(data.size() * 4) / stream.size(),
-                codec->name().c_str(), timer.millis());
+                codec->name().c_str(), command.close());
     return kExitOk;
   }
   if (cmd == "sz-decompress" && argc == 4) {
@@ -628,7 +627,7 @@ int run(int argc, char** argv) {
     auto back = codec->decode(read_file(argv[2]));
     write_file(argv[3], as_bytes(back));
     std::printf("%zu floats restored in %.0f ms\n", back.size(),
-                timer.millis());
+                command.close());
     return kExitOk;
   }
   if (cmd == "sz-info" && argc == 3) {
@@ -688,7 +687,11 @@ int run(int argc, char** argv) {
   if (cmd == "model-info" && argc == 3) {
     auto bytes = read_file(argv[2]);
     deepsz::core::ContainerReader reader(bytes);
-    auto decoded = deepsz::core::decode_model(bytes, false);
+    // Serial: every layer's phase spans stage under this span's label.
+    deepsz::obs::TraceSpan span("decode_model", "tool");
+    span.set_stage("model-info");
+    auto decoded = deepsz::core::decode_model(bytes, /*parallel=*/false);
+    const double decode_ms = span.close();
     std::printf("%zu fc-layer(s), seekable index: %s\n",
                 decoded.layers.size(),
                 reader.has_footer_index() ? "yes" : "no");
@@ -698,9 +701,10 @@ int run(int argc, char** argv) {
                   static_cast<long long>(l.cols), l.stored_entries(),
                   decoded.biases.count(l.name) ? ", bias present" : "");
     }
-    std::printf("decode: %.1f ms (lossless %.1f, SZ %.1f)\n",
-                decoded.timing.total_ms(), decoded.timing.lossless_ms,
-                decoded.timing.sz_ms);
+    std::printf(
+        "decode: %.1f ms (lossless %.1f, SZ %.1f)\n", decode_ms,
+        deepsz::obs::Tracer::stage_total_ms("lossless", "model-info"),
+        deepsz::obs::Tracer::stage_total_ms("eb_decode", "model-info"));
     return kExitOk;
   }
   if (cmd == "diff" && argc >= 5) {
@@ -858,12 +862,15 @@ int run(int argc, char** argv) {
     std::vector<double> latencies;
     latencies.reserve(static_cast<std::size_t>(requests));
     for (int r = 0; r < requests; ++r) {
-      if (r == 1) store.reset_stats();  // split cold stats from warm stats
+      if (r == 1) {  // split cold stats from warm stats
+        store.reset_stats();
+        deepsz::obs::Tracer::reset();
+      }
       auto x = make_batch();
       deepsz::serve::InferenceSession session(store, net);
-      timer.reset();
+      deepsz::obs::TraceSpan span("infer", "tool");
       auto y = session.infer(x);
-      latencies.push_back(timer.millis());
+      latencies.push_back(span.close());
       (void)y;
     }
 
@@ -874,6 +881,10 @@ int run(int argc, char** argv) {
       return warm[idx];
     };
     const auto stats = store.stats();
+    // Decode stage totals of the warm requests; the store stages as "store".
+    const auto warm_ms = [](const char* stage) {
+      return deepsz::obs::Tracer::stage_total_ms(stage, "store");
+    };
     std::printf("%zu layer(s), %d requests x batch %d, cache budget %.1f MB\n",
                 store.reader().num_layers(), requests, batch, cache_mb);
     for (const auto& e : store.reader().entries()) {
@@ -899,12 +910,12 @@ int run(int argc, char** argv) {
     std::printf(
         "               hit rate %.2f, codec time %.2f ms, resident %zu "
         "layer(s) / %.2f MB\n",
-        stats.hit_rate(), stats.decode_ms, stats.cached_layers,
+        stats.hit_rate(), warm_ms("decode"), stats.cached_layers,
         static_cast<double>(stats.cached_bytes) / (1 << 20));
     std::printf(
         "               decode phases: lossless %.2f ms, error-bounded "
         "(block) %.2f ms, reconstruct %.2f ms\n",
-        stats.lossless_ms, stats.eb_decode_ms, stats.reconstruct_ms);
+        warm_ms("lossless"), warm_ms("eb_decode"), warm_ms("reconstruct"));
     std::printf("               resident by form:");
     for (int f = 0; f < deepsz::serve::kNumServingForms; ++f) {
       std::printf(
