@@ -167,14 +167,34 @@ void HuffmanDecoder::read_table(util::BitReader& br) {
 }
 
 void HuffmanDecoder::init_from_lengths(std::span<const int> lengths) {
-  alphabet_ = lengths.size();
-  max_len_ = 0;
-  for (int l : lengths) max_len_ = std::max(max_len_, l);
-
-  count_.assign(max_len_ + 1, 0);
-  for (int l : lengths) {
-    if (l > 0) ++count_[l];
+  // Symbols must fit beside a 5-bit length in a 32-bit table entry.
+  if (lengths.size() > (std::size_t{1} << (32 - kLenBits))) {
+    throw std::runtime_error("HuffmanDecoder: alphabet too large");
   }
+  alphabet_ = lengths.size();
+  count_.assign(kMaxCodeLen + 1, 0);
+  for (int l : lengths) {
+    if (l < 0 || l > kMaxCodeLen) {
+      throw std::runtime_error("HuffmanDecoder: corrupt code table");
+    }
+    ++count_[l];
+  }
+  count_[0] = 0;
+  max_len_ = kMaxCodeLen;
+  while (max_len_ > 0 && count_[max_len_] == 0) --max_len_;
+  count_.resize(max_len_ + 1);
+
+  // An over-subscribed code is not prefix-free: its canonical codes overflow
+  // their length and the table and the walk could disagree. The encoder
+  // never emits one.
+  std::uint64_t kraft = 0;
+  for (int l = 1; l <= max_len_; ++l) {
+    kraft += static_cast<std::uint64_t>(count_[l]) << (max_len_ - l);
+  }
+  if (kraft > (std::uint64_t{1} << max_len_)) {
+    throw std::runtime_error("HuffmanDecoder: over-subscribed code table");
+  }
+
   // Same canonical recurrence as the encoder (count_[0] == 0, so
   // first_code_[1] == 0).
   first_code_.assign(max_len_ + 2, 0);
@@ -186,25 +206,43 @@ void HuffmanDecoder::init_from_lengths(std::span<const int> lengths) {
     offset_[l] = idx;
     idx += count_[l];
   }
-  // Symbols sorted by (length, symbol).
-  sorted_symbols_.clear();
-  sorted_symbols_.reserve(alphabet_);
-  for (int l = 1; l <= max_len_; ++l) {
-    for (std::size_t s = 0; s < alphabet_; ++s) {
-      if (lengths[s] == l) sorted_symbols_.push_back(static_cast<std::uint32_t>(s));
+  // Symbols sorted by (length, symbol): a counting sort over the lengths.
+  sorted_symbols_.resize(idx);
+  std::vector<std::uint32_t> next(offset_.begin(), offset_.end());
+  for (std::size_t s = 0; s < alphabet_; ++s) {
+    const int l = lengths[s];
+    if (l > 0) sorted_symbols_[next[l]++] = static_cast<std::uint32_t>(s);
+  }
+
+  // Primary table: a code c of length l <= table_bits_ arrives bit-reversed,
+  // so it owns every index whose low l bits are reverse(c).
+  table_bits_ = std::min(kTableBits, max_len_);
+  table_.assign(std::size_t{1} << table_bits_, 0);
+  for (int l = 1; l <= table_bits_; ++l) {
+    for (std::uint32_t k = 0; k < count_[l]; ++k) {
+      const std::uint32_t entry =
+          (sorted_symbols_[offset_[l] + k] << kLenBits) |
+          static_cast<std::uint32_t>(l);
+      for (std::size_t i = reverse_bits(first_code_[l] + k, l);
+           i < table_.size(); i += std::size_t{1} << l) {
+        table_[i] = entry;
+      }
     }
   }
 }
 
-std::uint32_t HuffmanDecoder::decode(util::BitReader& br) const {
+std::uint32_t HuffmanDecoder::decode_slow(util::BitReader& br) const {
+  const std::uint64_t bits = br.peek_bits(max_len_);
   std::uint32_t code = 0;
   for (int l = 1; l <= max_len_; ++l) {
-    code = (code << 1) | br.read_bit();
+    code = (code << 1) | static_cast<std::uint32_t>((bits >> (l - 1)) & 1u);
     std::uint32_t rel = code - first_code_[l];
     if (code >= first_code_[l] && rel < count_[l]) {
+      br.consume(l);
       return sorted_symbols_[offset_[l] + rel];
     }
   }
+  br.consume(max_len_);
   throw std::runtime_error("HuffmanDecoder: invalid code in stream");
 }
 

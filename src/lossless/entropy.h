@@ -6,6 +6,13 @@
 // Kraft-sum repair, and written bit-reversed so that a bit-serial canonical
 // decoder sees the most significant code bit first while the underlying
 // BitWriter stays LSB-first.
+//
+// Decoding is table-driven: one peek of the next kTableBits bits indexes a
+// primary table whose entry holds the symbol and its code length, so a code
+// of up to kTableBits bits costs one lookup and one consume. Longer codes
+// (and invalid bit patterns) miss the table and fall back to the canonical
+// walk. Tables whose Kraft sum exceeds 1 are rejected when they are built;
+// every other table is prefix-free, so lookup and walk agree on every input.
 #pragma once
 
 #include <cstdint>
@@ -52,21 +59,45 @@ class HuffmanEncoder {
 /// Decodes a canonical Huffman stream produced by HuffmanEncoder.
 class HuffmanDecoder {
  public:
+  /// Width in bits of the primary decode table (never wider than the
+  /// longest code).
+  static constexpr int kTableBits = 11;
+
   /// Reads the code book serialized by HuffmanEncoder::write_table.
   void read_table(util::BitReader& br);
 
   /// Builds decoding structures directly from code lengths (for coders whose
-  /// table is transmitted out of band).
+  /// table is transmitted out of band). Throws std::runtime_error when a
+  /// length is out of range or the code is over-subscribed (Kraft sum > 1).
   void init_from_lengths(std::span<const int> lengths);
 
   /// Decodes one symbol. Throws std::runtime_error on an invalid code.
-  std::uint32_t decode(util::BitReader& br) const;
+  std::uint32_t decode(util::BitReader& br) const {
+    const std::uint32_t entry =
+        table_[static_cast<std::size_t>(br.peek_bits(table_bits_))];
+    if (entry == 0) return decode_slow(br);
+    br.consume(static_cast<int>(entry & kLenMask));
+    return entry >> kLenBits;
+  }
 
   std::size_t alphabet_size() const { return alphabet_; }
 
  private:
+  static constexpr int kLenBits = 5;
+  static constexpr std::uint32_t kLenMask = (1u << kLenBits) - 1;
+
+  // Canonical walk for codes longer than the primary table and for invalid
+  // codes (which it consumes max_len_ bits of, then throws).
+  std::uint32_t decode_slow(util::BitReader& br) const;
+
   std::size_t alphabet_ = 0;
   int max_len_ = 0;
+  int table_bits_ = 0;
+  // Primary table indexed by the next table_bits_ stream bits: entry =
+  // (symbol << kLenBits) | code length, 0 = no code of <= table_bits_ bits
+  // matches. One zero entry until a table is built, so decode() on an
+  // empty decoder reaches decode_slow() and throws.
+  std::vector<std::uint32_t> table_ = std::vector<std::uint32_t>(1);
   // Canonical decoding tables indexed by code length.
   std::vector<std::uint32_t> first_code_;   // first canonical code of length L
   std::vector<std::uint32_t> offset_;       // index into sorted_symbols_

@@ -178,14 +178,21 @@ std::vector<std::uint8_t> zstd_like_decompress(
   std::vector<std::uint8_t> out;
   out.reserve(untrusted_reserve_hint(raw_size, payload.size()));
   std::size_t lit_pos = 0;
+  // No u32 value lands in bucket 32 or above, and bucket_base(b) shifts a
+  // 32-bit one by b, so a corrupt table's bucket symbols are checked first.
+  auto bucket = [&](const HuffmanDecoder& dec) {
+    const std::uint32_t b = dec.decode(br);
+    if (b >= 32) throw std::runtime_error("zstd_like: bad length bucket");
+    return b;
+  };
   for (std::size_t s = 0; s < n_seq; ++s) {
-    std::uint32_t bl = ll_dec.decode(br);
+    std::uint32_t bl = bucket(ll_dec);
     std::uint32_t lit_len =
         bucket_base(bl) + static_cast<std::uint32_t>(br.read_bits(static_cast<int>(bl)));
-    std::uint32_t bm = ml_dec.decode(br);
+    std::uint32_t bm = bucket(ml_dec);
     std::uint32_t match_len =
         bucket_base(bm) + static_cast<std::uint32_t>(br.read_bits(static_cast<int>(bm)));
-    std::uint32_t bo = of_dec.decode(br);
+    std::uint32_t bo = bucket(of_dec);
     std::uint32_t offset =
         bucket_base(bo) + static_cast<std::uint32_t>(br.read_bits(static_cast<int>(bo)));
 

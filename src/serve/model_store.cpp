@@ -1,5 +1,6 @@
 #include "serve/model_store.h"
 
+#include <algorithm>
 #include <exception>
 #include <stdexcept>
 
@@ -181,28 +182,16 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
     if (resident && !resident->dense.empty() && br->contains(e.name) &&
         br->entry(e.name).kind == core::LayerKind::kFull) {
       auto deltas = br->decode_index_stream(br->index_of(e.name));
-      const std::uint64_t total =
-          static_cast<std::uint64_t>(resident->rows) *
-          static_cast<std::uint64_t>(resident->cols);
       sparse::PrunedLayer base_layer;
       base_layer.name = e.name;
       base_layer.rows = resident->rows;
       base_layer.cols = resident->cols;
       base_layer.data.reserve(deltas.size());
-      std::int64_t pos = -1;
-      for (std::uint8_t d : deltas) {
-        if (d == 0) {
-          throw std::runtime_error("ModelStore: zero position delta in " +
-                                   e.name);
-        }
-        pos += d;
-        if (static_cast<std::uint64_t>(pos) >= total) {
-          throw std::runtime_error("ModelStore: index overruns matrix in " +
-                                   e.name);
-        }
-        base_layer.data.push_back(
-            resident->dense[static_cast<std::size_t>(pos)]);
-      }
+      sparse::for_each_position(
+          deltas, resident->rows, resident->cols, e.name,
+          [&](std::size_t, std::size_t pos, std::size_t, std::uint32_t) {
+            base_layer.data.push_back(resident->dense[pos]);
+          });
       base_layer.index = std::move(deltas);
       return make_served_dense(entry_index,
                                reader_.apply_delta(entry_index, base_layer));
@@ -219,25 +208,41 @@ std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
   served->name = sparse_layer.name;
   served->rows = sparse_layer.rows;
   served->cols = sparse_layer.cols;
-  served->dense = sparse_layer.to_dense();
-  served->bias = reader_.decode_bias(entry_index);
-  if (options_.build_csr) {
-    // CSR view for the sparse batched forward; pruned entries are exact
-    // zeros in the decoded dense form, so a scan reproduces the sparsity.
-    served->csr_rowptr.reserve(static_cast<std::size_t>(served->rows) + 1);
-    served->csr_rowptr.push_back(0);
-    for (std::int64_t r = 0; r < served->rows; ++r) {
-      const float* row = served->dense.data() + r * served->cols;
-      for (std::int64_t c = 0; c < served->cols; ++c) {
-        if (row[c] != 0.0f) {
-          served->csr_col.push_back(static_cast<std::uint32_t>(c));
-          served->csr_val.push_back(row[c]);
-        }
-      }
-      served->csr_rowptr.push_back(
-          static_cast<std::uint32_t>(served->csr_col.size()));
-    }
+  const std::vector<float>& data = sparse_layer.data;
+  if (data.size() != sparse_layer.index.size()) {
+    throw std::runtime_error("PrunedLayer: data/index length mismatch");
   }
+  // One walk fills the dense matrix and, with build_csr, the CSR view for
+  // the sparse batched forward. An entry joins the view iff its value is
+  // nonzero: positions strictly increase, so that is exactly the set, in the
+  // same row-major order, that a scan of the dense matrix would keep.
+  // Fillers carry 0.0f (or an SZ reconstruction thereof) and land on zero
+  // positions; writing them to the dense matrix is harmless.
+  const bool csr = options_.build_csr;
+  if (csr) {
+    const auto nnz = static_cast<std::size_t>(std::count_if(
+        data.begin(), data.end(), [](float v) { return v != 0.0f; }));
+    served->csr_rowptr.assign(static_cast<std::size_t>(served->rows) + 1, 0);
+    served->csr_col.reserve(nnz);
+    served->csr_val.reserve(nnz);
+  }
+  served->dense.assign(
+      static_cast<std::size_t>(served->rows * served->cols), 0.0f);
+  float* dense = served->dense.data();
+  sparse::for_each_position(
+      sparse_layer.index, served->rows, served->cols, sparse_layer.name,
+      [&](std::size_t i, std::size_t pos, std::size_t row, std::uint32_t col) {
+        const float v = data[i];
+        dense[pos] = v;
+        if (!csr || v == 0.0f) return;
+        served->csr_col.push_back(col);
+        served->csr_val.push_back(v);
+        ++served->csr_rowptr[row + 1];
+      });
+  for (std::size_t r = 1; r < served->csr_rowptr.size(); ++r) {
+    served->csr_rowptr[r] += served->csr_rowptr[r - 1];
+  }
+  served->bias = reader_.decode_bias(entry_index);
   served->form = served->has_csr() ? ServingForm::kSparseCsr
                                    : ServingForm::kDenseF32;
   if (options_.keep_sparse) served->sparse = std::move(sparse_layer);
@@ -281,36 +286,24 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
   }
 
   // Walk the deltas exactly like PrunedLayer::to_dense, keeping an entry iff
-  // its centroid is nonzero — the same set the dense->CSR scan keeps, so the
+  // its centroid is nonzero — the same set the kSparseCsr walk keeps, so the
   // codebook form is bit-identical in content to the kSparseCsr view of the
-  // same layer. from_dense emits deltas >= 1, so positions are strictly
-  // increasing and a delta of 0 can only come from corruption.
-  const std::uint64_t total = static_cast<std::uint64_t>(e.rows) *
-                              static_cast<std::uint64_t>(e.cols);
-  const std::uint64_t cols = static_cast<std::uint64_t>(e.cols);
+  // same layer.
   const bool narrow = served->codebook.size() <= 256;
   served->csr_rowptr.assign(static_cast<std::size_t>(e.rows) + 1, 0);
-  std::int64_t pos = -1;
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    if (deltas[i] == 0) {
-      throw std::runtime_error("ModelStore: zero position delta in " + e.name);
-    }
-    pos += deltas[i];
-    if (static_cast<std::uint64_t>(pos) >= total) {
-      throw std::runtime_error("ModelStore: index overruns matrix in " +
-                               e.name);
-    }
-    const std::uint32_t id = q.ids[i];
-    if (served->codebook[id] == 0.0f) continue;  // filler or zero centroid
-    const auto p = static_cast<std::uint64_t>(pos);
-    served->csr_col.push_back(static_cast<std::uint32_t>(p % cols));
-    if (narrow) {
-      served->csr_id8.push_back(static_cast<std::uint8_t>(id));
-    } else {
-      served->csr_id16.push_back(static_cast<std::uint16_t>(id));
-    }
-    ++served->csr_rowptr[static_cast<std::size_t>(p / cols) + 1];
-  }
+  sparse::for_each_position(
+      deltas, e.rows, e.cols, e.name,
+      [&](std::size_t i, std::size_t, std::size_t row, std::uint32_t col) {
+        const std::uint32_t id = q.ids[i];
+        if (served->codebook[id] == 0.0f) return;  // filler or zero centroid
+        served->csr_col.push_back(col);
+        if (narrow) {
+          served->csr_id8.push_back(static_cast<std::uint8_t>(id));
+        } else {
+          served->csr_id16.push_back(static_cast<std::uint16_t>(id));
+        }
+        ++served->csr_rowptr[row + 1];
+      });
   for (std::size_t r = 1; r < served->csr_rowptr.size(); ++r) {
     served->csr_rowptr[r] += served->csr_rowptr[r - 1];
   }

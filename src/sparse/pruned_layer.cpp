@@ -4,6 +4,18 @@
 
 namespace deepsz::sparse {
 
+namespace detail {
+void throw_bad_position(const char* what, std::string_view layer) {
+  std::string msg = "PrunedLayer: ";
+  msg += what;
+  if (!layer.empty()) {
+    msg += " in ";
+    msg += layer;
+  }
+  throw std::runtime_error(msg);
+}
+}  // namespace detail
+
 PrunedLayer PrunedLayer::from_dense(std::span<const float> dense,
                                     std::int64_t rows, std::int64_t cols,
                                     std::string name) {
@@ -36,16 +48,11 @@ std::vector<float> PrunedLayer::to_dense() const {
     throw std::runtime_error("PrunedLayer: data/index length mismatch");
   }
   std::vector<float> dense(static_cast<std::size_t>(rows * cols), 0.0f);
-  std::int64_t pos = -1;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    pos += index[i];
-    if (pos >= rows * cols) {
-      throw std::runtime_error("PrunedLayer: index overruns matrix");
-    }
-    // Fillers carry 0.0f (or an SZ reconstruction thereof) and land on zero
-    // positions; writing them is harmless and keeps decode branch-free.
-    dense[static_cast<std::size_t>(pos)] = data[i];
-  }
+  // Fillers carry 0.0f (or an SZ reconstruction thereof) and land on zero
+  // positions; writing them is harmless.
+  for_each_position(index, rows, cols, name,
+                    [&](std::size_t i, std::size_t pos, std::size_t,
+                        std::uint32_t) { dense[pos] = data[i]; });
   return dense;
 }
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace deepsz::sparse {
@@ -57,6 +58,40 @@ struct PrunedLayer {
   /// sizes must match.
   PrunedLayer with_data(std::vector<float> new_data) const;
 };
+
+namespace detail {
+[[noreturn]] void throw_bad_position(const char* what, std::string_view layer);
+}  // namespace detail
+
+/// Walks the paper's position deltas over a rows x cols row-major matrix,
+/// calling visit(i, pos, row, col) for stored entry i in order. Positions
+/// strictly increase (from_dense emits deltas >= 1), so a zero delta can only
+/// come from corruption; it throws std::runtime_error, as does a position
+/// past the matrix. The row is tracked incrementally: no division per entry.
+template <class Visit>
+void for_each_position(std::span<const std::uint8_t> deltas, std::int64_t rows,
+                       std::int64_t cols, std::string_view layer,
+                       Visit&& visit) {
+  if (!deltas.empty() && (rows <= 0 || cols <= 0)) {
+    detail::throw_bad_position("index overruns matrix", layer);
+  }
+  std::int64_t pos = -1, row = 0, col = -1;
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    const std::uint8_t d = deltas[i];
+    if (d == 0) detail::throw_bad_position("zero position delta", layer);
+    pos += d;
+    col += d;
+    if (col >= cols) {
+      row += col / cols;
+      col %= cols;
+      if (row >= rows) {
+        detail::throw_bad_position("index overruns matrix", layer);
+      }
+    }
+    visit(i, static_cast<std::size_t>(pos), static_cast<std::size_t>(row),
+          static_cast<std::uint32_t>(col));
+  }
+}
 
 /// Standard 3-array CSR, kept for interoperability and for the comparison
 /// tests showing the two-array format's size advantage.

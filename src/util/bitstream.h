@@ -7,6 +7,7 @@
 // read_bits(n) round-trips any v < 2^n.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,13 +36,41 @@ class BitWriter {
 };
 
 /// Reads bits back in the order BitWriter wrote them.
+///
+/// Bits are buffered 64 at a time, so table-driven decoders can look at the
+/// next few bits (peek_bits) and then drop only the ones a code used
+/// (consume). Past the end of the data every bit reads as zero and bit_pos()
+/// keeps advancing; callers detect truncation by comparing bit_pos() with the
+/// payload size.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
+  /// Returns the next `nbits` bits (LSB first) without consuming them.
+  /// nbits in [0, 57].
+  std::uint64_t peek_bits(int nbits) {
+    assert(nbits >= 0 && nbits <= 57);
+    if (nbuf_ < nbits) refill();
+    return buf_ & ((1ull << nbits) - 1);
+  }
+
+  /// Drops `nbits` bits. nbits must not exceed the width of the peek_bits
+  /// call that preceded it.
+  void consume(int nbits) {
+    assert(nbits <= nbuf_ || byte_pos_ == data_.size());
+    buf_ >>= nbits;
+    nbuf_ = nbits < nbuf_ ? nbuf_ - nbits : 0;
+    bit_pos_ += static_cast<std::size_t>(nbits);
+  }
+
   /// Reads `nbits` bits (LSB first). Reads past the end return zero bits,
-  /// mirroring the zero padding emitted by BitWriter::finish().
-  std::uint64_t read_bits(int nbits);
+  /// mirroring the zero padding emitted by BitWriter::finish(). nbits in
+  /// [0, 57].
+  std::uint64_t read_bits(int nbits) {
+    const std::uint64_t v = peek_bits(nbits);
+    consume(nbits);
+    return v;
+  }
 
   /// Reads a single bit.
   std::uint32_t read_bit() { return static_cast<std::uint32_t>(read_bits(1)); }
@@ -53,6 +82,8 @@ class BitReader {
   bool exhausted() const { return bit_pos_ >= data_.size() * 8; }
 
  private:
+  // Tops the buffer up to at least 57 bits while data remains. Bits above
+  // nbuf_ are either zero or the true next stream bits, never garbage.
   void refill();
 
   std::span<const std::uint8_t> data_;

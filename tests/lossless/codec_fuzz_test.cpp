@@ -2,9 +2,11 @@
 // patterns round-trip exactly, and mutated frames throw rather than crash.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "lossless/codec.h"
+#include "util/bitstream.h"
 #include "util/rng.h"
 
 namespace deepsz::lossless {
@@ -86,6 +88,29 @@ TEST_P(CodecFuzz, MutatedFramesNeverCrash) {
     } catch (const std::exception&) {
     }
   }
+}
+
+TEST(ZstdLikeCorrupt, LengthBucketBeyondU32Rejected) {
+  // A literal-length table whose only code is bucket 40: reading 40 extra
+  // bits and forming 2^40 - 1 would overflow, so the decoder must throw.
+  util::BitWriter bw;
+  bw.write_bits(1, 32);  // sequences
+  bw.write_bits(0, 32);  // literals
+  auto table = [&](std::uint32_t alphabet, std::uint32_t sym, int sym_bits) {
+    bw.write_bits(alphabet, 32);
+    bw.write_bits(1, 32);  // one present symbol, 1-bit code
+    bw.write_bits(sym, sym_bits);
+    bw.write_bits(1, 5);
+  };
+  // Literals, literal lengths, match lengths, offsets; then the three
+  // 1-bit codes of the one sequence.
+  table(1, 0, 1);
+  table(64, 40, 6);
+  table(1, 0, 1);
+  table(1, 0, 1);
+  bw.write_bits(0, 3);
+  const auto payload = bw.finish();
+  EXPECT_THROW(raw::zstd_like_decompress(payload, 100), std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -263,6 +263,65 @@ TEST(ModelStore, CorruptLayerFailsEveryWaiterAndCachesNothing) {
   EXPECT_NE(store.get("fc7"), nullptr);
 }
 
+TEST(ModelStore, ZeroFirstDeltaRejectedNotWrittenBeforeMatrix) {
+  // A leading zero delta puts the position cursor at -1. The public encoder
+  // writes such a layer as-is under f32/store, so no CRC forgery is needed.
+  sparse::PrunedLayer l;
+  l.name = "fc1";
+  l.rows = 2;
+  l.cols = 4;
+  l.index = {0, 1, 1};
+  l.data = {1.0f, 2.0f, 3.0f};
+  core::ContainerOptions copts;
+  copts.data_codec = "f32";
+  copts.index_codec = "store";
+  const auto bytes = encode({l}, copts);
+  for (bool build_csr : {false, true}) {
+    ModelStoreOptions opts;
+    opts.build_csr = build_csr;
+    ModelStore store(bytes, opts);
+    try {
+      store.get("fc1");
+      FAIL() << "zero delta accepted, build_csr=" << build_csr;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("zero position delta"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(store.stats().cached_layers, 0u);
+  }
+}
+
+TEST(ModelStore, CsrViewMatchesDenseScan) {
+  // The single-pass reconstruct must keep exactly the entries, in exactly
+  // the order, that a row-major scan of the decoded dense matrix keeps —
+  // including SZ-reconstructed fillers that came back nonzero.
+  auto layers = some_layers(3);
+  ModelStoreOptions opts;
+  opts.build_csr = true;
+  ModelStore store(encode(layers), opts);
+  for (const auto& layer : layers) {
+    auto served = store.get(layer.name);
+    ASSERT_TRUE(served->has_csr());
+    std::vector<std::uint32_t> rowptr{0}, col;
+    std::vector<float> val;
+    for (std::int64_t r = 0; r < served->rows; ++r) {
+      for (std::int64_t c = 0; c < served->cols; ++c) {
+        const float v = served->dense[r * served->cols + c];
+        if (v != 0.0f) {
+          col.push_back(static_cast<std::uint32_t>(c));
+          val.push_back(v);
+        }
+      }
+      rowptr.push_back(static_cast<std::uint32_t>(col.size()));
+    }
+    EXPECT_EQ(served->csr_rowptr, rowptr) << layer.name;
+    EXPECT_EQ(served->csr_col, col) << layer.name;
+    EXPECT_EQ(served->csr_val, val) << layer.name;
+    EXPECT_EQ(served->csr_val.capacity(), val.size()) << layer.name;
+  }
+}
+
 std::vector<std::uint8_t> encode_dc(
     const std::vector<sparse::PrunedLayer>& ls) {
   core::ContainerOptions copts;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.h"
@@ -88,6 +89,70 @@ TEST(PrunedLayer, ExtremeGapAtMatrixEnd) {
   dense[99999] = 2.0f;
   auto layer = PrunedLayer::from_dense(dense, 100, 1000);
   EXPECT_EQ(layer.to_dense(), dense);
+}
+
+TEST(PrunedLayer, ZeroDeltaRejected) {
+  // from_dense never emits a 0 delta. A leading one would put the cursor at
+  // -1, before the matrix; a later one would write a position twice.
+  PrunedLayer layer;
+  layer.rows = 2;
+  layer.cols = 4;
+  layer.index = {0, 1, 1};
+  layer.data = {1.0f, 2.0f, 3.0f};
+  EXPECT_THROW(layer.to_dense(), std::runtime_error);
+  layer.index = {2, 0, 1};
+  EXPECT_THROW(layer.to_dense(), std::runtime_error);
+}
+
+TEST(PrunedLayer, IndexOverrunRejected) {
+  PrunedLayer layer;
+  layer.rows = 2;
+  layer.cols = 4;
+  layer.index = {5, 4};  // positions 4 and 8; the matrix holds 0..7
+  layer.data = {1.0f, 2.0f};
+  EXPECT_THROW(layer.to_dense(), std::runtime_error);
+  layer.rows = 0;
+  layer.index = {1};
+  layer.data = {1.0f};
+  EXPECT_THROW(layer.to_dense(), std::runtime_error);
+}
+
+TEST(PrunedLayer, NarrowMatrixGapsSpanManyRows) {
+  // One column: every delta crosses rows, fillers cross up to 255 at once.
+  std::vector<float> dense(1000, 0.0f);
+  dense[3] = 1.0f;
+  dense[600] = 2.0f;
+  dense[999] = 3.0f;
+  auto layer = PrunedLayer::from_dense(dense, 1000, 1);
+  EXPECT_EQ(layer.to_dense(), dense);
+}
+
+TEST(PrunedLayer, PositionWalkMatchesDivision) {
+  util::Pcg32 rng(9);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::int64_t rows = 1 + rng.bounded(40);
+    const std::int64_t cols = 1 + rng.bounded(300);
+    std::vector<std::uint8_t> deltas;
+    std::int64_t pos = -1;
+    for (;;) {
+      const auto d = static_cast<std::uint8_t>(1 + rng.bounded(255));
+      if (pos + d >= rows * cols) break;
+      pos += d;
+      deltas.push_back(d);
+    }
+    std::size_t visited = 0;
+    std::size_t expect_pos = static_cast<std::size_t>(-1);
+    for_each_position(deltas, rows, cols, "t",
+                      [&](std::size_t i, std::size_t p, std::size_t row,
+                          std::uint32_t col) {
+                        ASSERT_EQ(i, visited++);
+                        expect_pos += deltas[i];
+                        ASSERT_EQ(p, expect_pos);
+                        ASSERT_EQ(row, p / static_cast<std::size_t>(cols));
+                        ASSERT_EQ(col, p % static_cast<std::size_t>(cols));
+                      });
+    EXPECT_EQ(visited, deltas.size()) << "trial " << trial;
+  }
 }
 
 TEST(Csr, RoundTripAndSizes) {

@@ -161,7 +161,8 @@ TEST(CheckpointCorrupt, ForgedShapeAndCountAreRejected) {
   std::memcpy(&count, off_by_one.data() + f.count, 8);
   ++count;
   std::memcpy(off_by_one.data() + f.count, &count, 8);
-  CheckpointReader reader(resign(off_by_one));
+  const auto resigned = resign(off_by_one);  // the reader views, not owns
+  CheckpointReader reader(resigned);
   EXPECT_THROW(reader.decode_stream("fc1.data"), std::runtime_error);
 }
 
@@ -217,7 +218,8 @@ TEST(CheckpointCorrupt, ForgedCodecSpecIsRejectedAsRuntimeError) {
                         needle.end());
   ASSERT_NE(it, bytes.end());
   *it = 'q';
-  CheckpointReader reader(resign(std::move(bytes)));
+  const auto resigned = resign(std::move(bytes));  // the reader views, not owns
+  CheckpointReader reader(resigned);
   EXPECT_THROW(reader.decode_stream("fc1.bias"), std::runtime_error);
 }
 

@@ -93,5 +93,51 @@ TEST(BitStream, RandomizedRoundTrip) {
   }
 }
 
+TEST(BitReader, PeekConsumeMatchesReadBits) {
+  // Random interleavings of peek_bits/consume, read_bits and read_bit over
+  // buffers short and long enough to cross the 8-byte refill boundary, read
+  // well past their end. A read_bits-only reader, checked against the raw
+  // bytes, is the reference.
+  Pcg32 rng(7);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<std::uint8_t> bytes(rng.bounded(41));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.bounded(256));
+    auto bit_at = [&](std::size_t p) -> std::uint64_t {
+      return p < bytes.size() * 8 ? (bytes[p / 8] >> (p % 8)) & 1u : 0u;
+    };
+    BitReader mixed(bytes), plain(bytes);
+    for (int op = 0; op < 120; ++op) {
+      const int n = static_cast<int>(rng.bounded(58));
+      const std::size_t at = plain.bit_pos();
+      std::uint64_t got = 0;
+      int width = n;
+      switch (rng.bounded(3)) {
+        case 0:
+          got = mixed.read_bits(n);
+          break;
+        case 1: {
+          const std::uint64_t peeked = mixed.peek_bits(n);
+          ASSERT_EQ(mixed.peek_bits(n), peeked);  // peeking is idempotent
+          width = static_cast<int>(rng.bounded(n + 1));
+          got = peeked & ((1ull << width) - 1);
+          mixed.consume(width);
+          break;
+        }
+        default:
+          width = 1;
+          got = mixed.read_bit();
+      }
+      const std::uint64_t want = plain.read_bits(width);
+      std::uint64_t oracle = 0;
+      for (int k = 0; k < width; ++k) oracle |= bit_at(at + k) << k;
+      ASSERT_EQ(want, oracle) << "trial " << trial << " op " << op;
+      ASSERT_EQ(got, want) << "trial " << trial << " op " << op;
+      ASSERT_EQ(mixed.bit_pos(), plain.bit_pos());
+      ASSERT_EQ(mixed.exhausted(), plain.exhausted());
+    }
+    EXPECT_TRUE(mixed.exhausted());
+  }
+}
+
 }  // namespace
 }  // namespace deepsz::util
