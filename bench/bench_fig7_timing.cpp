@@ -260,8 +260,7 @@ int main() {
                        15);
     }
     std::printf(
-        "\nv2 cold-decode speedup: %.2fx, compression-ratio delta: %.2f%% "
-        "(acceptance: >= 2x on 4+ cores, delta < 2%%)\n",
+        "\nv2 cold-decode speedup: %.2fx, compression-ratio delta: %.2f%%\n",
         dec_ms[0] / dec_ms[1], 100.0 * (ratio[0] - ratio[1]) / ratio[0]);
   }
   return 0;

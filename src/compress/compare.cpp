@@ -63,11 +63,11 @@ std::vector<CompareRow> compare_strategies(
         "compare_strategies: no pruned fc-layers (set spec.prune.keep_ratio "
         "or pass a pre-pruned network)");
   }
-  // One baseline measurement and one trunk-caching oracle, shared across
-  // every row (each session would otherwise re-run both full passes).
-  const auto acc_pruned = nn::evaluate(net, test_images, test_labels);
+  // One trunk-caching oracle, and the baseline it measures, shared across
+  // every row (each session would otherwise re-run the trunk pass).
   auto oracle = std::make_shared<core::CachedHeadOracle>(net, test_images,
                                                          test_labels);
+  const auto acc_pruned = oracle->accuracy();
 
   std::vector<CompareRow> rows;
   rows.reserve(specs.size());

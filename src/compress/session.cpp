@@ -118,7 +118,6 @@ void CompressionSession::run_prune() {
   s.acc_original = nn::evaluate(*s.net, *s.test_images, *s.test_labels);
   s.prune = core::prune_and_retrain(*s.net, *s.train_images, *s.train_labels,
                                     s.spec.prune);
-  s.acc_pruned = nn::evaluate(*s.net, *s.test_images, *s.test_labels);
   s.layers = core::extract_pruned_layers(*s.net);
   if (s.layers.empty()) {
     throw std::invalid_argument(
@@ -130,9 +129,12 @@ void CompressionSession::run_prune() {
     s.dense_fc_bytes += l.dense_bytes();
     s.csr_bytes += l.csr_bytes();
   }
+  // The oracle's one trunk pass is the pruned network's; its head replay is
+  // bit-identical to nn::evaluate (a row's logits do not depend on batching).
   s.oracle = std::make_shared<core::CachedHeadOracle>(
       *s.net, *s.test_images, *s.test_labels);
-  s.baseline_top1 = s.oracle->top1();
+  s.acc_pruned = s.oracle->accuracy();
+  s.baseline_top1 = s.acc_pruned.top1;
   invalidate_from(Stage::kAssess);
 
   std::ostringstream detail;
@@ -157,18 +159,17 @@ void CompressionSession::adopt_pruned(
         "CompressionSession: adopt_pruned on a network with no masked "
         "fc-layers");
   }
-  s.acc_original = s.acc_pruned =
-      oracle ? acc_pruned
-             : nn::evaluate(*s.net, *s.test_images, *s.test_labels);
   s.prune = {};
   s.dense_fc_bytes = s.csr_bytes = 0;
   for (const auto& l : s.layers) {
     s.dense_fc_bytes += l.dense_bytes();
     s.csr_bytes += l.csr_bytes();
   }
-  s.oracle = oracle ? std::move(oracle)
+  const bool shared = oracle != nullptr;
+  s.oracle = shared ? std::move(oracle)
                     : std::make_shared<core::CachedHeadOracle>(
                           *s.net, *s.test_images, *s.test_labels);
+  s.acc_original = s.acc_pruned = shared ? acc_pruned : s.oracle->accuracy();
   s.baseline_top1 = s.oracle->top1();
   invalidate_from(Stage::kAssess);
 
@@ -246,9 +247,10 @@ void CompressionSession::run_encode() {
   span.close();
 
   // Decode + reload, and measure the decoded accuracy the tables report.
+  // Decode rewrites only fc layers, so the oracle's cached trunk still holds.
   auto& s = state_;
   core::load_compressed_model(s.model.bytes, *s.net);
-  s.acc_decoded = nn::evaluate(*s.net, *s.test_images, *s.test_labels);
+  s.acc_decoded = s.oracle->accuracy();
   DSZ_LOG_INFO << info_.name << ": ratio " << s.model.compression_ratio()
                << "x, top-1 " << s.acc_original.top1 << " -> "
                << s.acc_decoded.top1;

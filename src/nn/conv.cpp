@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/layers.h"
@@ -52,7 +53,11 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Conv2D::backward(const Tensor& dy) {
+Tensor Conv2D::backward(const Tensor& dy) { return backward_impl(dy, true); }
+
+void Conv2D::backward_params(const Tensor& dy) { backward_impl(dy, false); }
+
+Tensor Conv2D::backward_impl(const Tensor& dy, bool want_dx) {
   const Tensor& x = cached_x_;
   if (x.numel() == 0) {
     throw std::runtime_error("Conv2D::backward without forward");
@@ -61,13 +66,12 @@ Tensor Conv2D::backward(const Tensor& dy) {
   const std::int64_t oh = dy.dim(2), ow = dy.dim(3);
   const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
   const std::int64_t col_cols = oh * ow;
+  const auto col_size = static_cast<std::size_t>(col_rows * col_cols);
 
   dw_.fill(0.0f);
   db_.fill(0.0f);
-  Tensor dx({n, in_c_, h, w});
-  std::vector<float> cols(static_cast<std::size_t>(col_rows * col_cols));
-  std::vector<float> dcols(static_cast<std::size_t>(col_rows * col_cols));
-  // Serial over samples: dW/db accumulate across the batch.
+  std::vector<float> cols(col_size);
+  // Serial over samples: dW/db accumulate across the batch in sample order.
   for (std::int64_t i = 0; i < n; ++i) {
     const float* dyi = dy.data() + i * out_c_ * col_cols;
     tensor::im2col(x.data() + i * in_c_ * h * w, in_c_, h, w, kernel_, stride_,
@@ -81,12 +85,23 @@ Tensor Conv2D::backward(const Tensor& dy) {
       for (std::int64_t p = 0; p < col_cols; ++p) acc += row[p];
       db_[oc] += acc;
     }
-    // dcols = W^T * dy_i, then scatter back to input coordinates.
-    std::fill(dcols.begin(), dcols.end(), 0.0f);
-    tensor::gemm_tn(col_rows, col_cols, out_c_, w_.data(), dyi, dcols.data());
-    tensor::col2im(dcols.data(), in_c_, h, w, kernel_, stride_, pad_,
-                   dx.data() + i * in_c_ * h * w);
   }
+  if (!want_dx) return {};
+
+  // dcols = W^T * dy_i, then scatter back to input coordinates. Each sample
+  // writes only its own slice of dx, so samples run in parallel.
+  Tensor dx({n, in_c_, h, w});
+  auto samples = [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> dcols(col_size);
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::fill(dcols.begin(), dcols.end(), 0.0f);
+      tensor::gemm_tn(col_rows, col_cols, out_c_, w_.data(),
+                      dy.data() + i * out_c_ * col_cols, dcols.data());
+      tensor::col2im(dcols.data(), in_c_, h, w, kernel_, stride_, pad_,
+                     dx.data() + i * in_c_ * h * w);
+    }
+  };
+  util::parallel_for_chunks(0, static_cast<std::size_t>(n), samples, 1);
   return dx;
 }
 

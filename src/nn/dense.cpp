@@ -59,7 +59,11 @@ Tensor Dense::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Dense::backward(const Tensor& dy) {
+Tensor Dense::backward(const Tensor& dy) { return backward_impl(dy, true); }
+
+void Dense::backward_params(const Tensor& dy) { backward_impl(dy, false); }
+
+Tensor Dense::backward_impl(const Tensor& dy, bool want_dx) {
   if (has_bound_weights()) {
     throw std::logic_error(
         "Dense::backward: layer serves bound (inference-only) weights");
@@ -83,6 +87,7 @@ Tensor Dense::backward(const Tensor& dy) {
       dw_[i] *= (*mask_)[i];
     }
   }
+  if (!want_dx) return {};
   // dx = dy W.
   Tensor dx({n, in_});
   tensor::gemm(n, in_, out_, dy.data(), w_.data(), dx.data());

@@ -35,6 +35,12 @@ class Layer {
   /// Propagates the loss gradient; must follow a forward(x, true).
   virtual Tensor backward(const Tensor& dy) = 0;
 
+  /// As backward(), but fills only grads(): the input gradient is not
+  /// wanted. Network::backward calls this on its first parameterized layer,
+  /// whose input gradient nothing reads. Layers that can skip computing it
+  /// override this.
+  virtual void backward_params(const Tensor& dy) { backward(dy); }
+
   /// Learnable parameter tensors (empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
 

@@ -21,6 +21,7 @@ class Dense : public Layer {
   std::string kind() const override { return "dense"; }
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
 
@@ -51,6 +52,9 @@ class Dense : public Layer {
   bool has_bound_weights() const { return bound_w_.data() != nullptr; }
 
  private:
+  /// Fills dw_/db_; returns dx only when `want_dx`.
+  Tensor backward_impl(const Tensor& dy, bool want_dx);
+
   std::int64_t in_, out_;
   Tensor w_, b_, dw_, db_;
   std::optional<std::vector<float>> mask_;
@@ -67,6 +71,7 @@ class Conv2D : public Layer {
   std::string kind() const override { return "conv"; }
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
 
@@ -74,6 +79,9 @@ class Conv2D : public Layer {
   std::int64_t out_channels() const { return out_c_; }
 
  private:
+  /// Fills dw_/db_; returns dx only when `want_dx`.
+  Tensor backward_impl(const Tensor& dy, bool want_dx);
+
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Tensor w_, b_, dw_, db_;
   Tensor cached_x_;

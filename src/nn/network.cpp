@@ -23,10 +23,14 @@ Tensor Network::forward(const Tensor& x, bool train) {
 }
 
 void Network::backward(const Tensor& dloss) {
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->params().empty()) ++first;
+  if (first == layers_.size()) return;  // nothing to train
   Tensor cur = dloss;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur);
+  for (std::size_t i = layers_.size() - 1; i > first; --i) {
+    cur = layers_[i]->backward(cur);
   }
+  layers_[first]->backward_params(cur);
 }
 
 std::vector<Dense*> Network::dense_layers() {

@@ -35,7 +35,9 @@ class Network {
   /// Runs the full forward pass.
   Tensor forward(const Tensor& x, bool train = false);
 
-  /// Runs backward through every layer; must follow forward(x, true).
+  /// Fills every layer's grads(); must follow forward(x, true). Stops at the
+  /// first layer with parameters and skips its input gradient, which
+  /// nothing reads.
   void backward(const Tensor& dloss);
 
   const std::vector<std::unique_ptr<Layer>>& layers() const { return layers_; }

@@ -25,6 +25,18 @@ __attribute__((target("avx2,fma"))) inline float hsum8(__m256 v) {
   return _mm_cvtss_f32(lo);
 }
 
+/// acc + (a * b rounded), never fused. The empty asm hides the product from
+/// the compiler's contraction, which fuses some scalar k tails and not
+/// others depending on how it vectorizes each call site (and on -O level);
+/// a row's sums would then change with the register block it lands in.
+__attribute__((target("avx2,fma"))) inline float add_product(float acc,
+                                                            float a,
+                                                            float b) {
+  float p = a * b;
+  __asm__("" : "+x"(p));
+  return acc + p;
+}
+
 __attribute__((target("avx2,fma"))) float dot_avx2(const float* a,
                                                    const float* b,
                                                    std::int64_t k) {
@@ -38,7 +50,7 @@ __attribute__((target("avx2,fma"))) float dot_avx2(const float* a,
                            _mm256_loadu_ps(b + kk + 8), acc1);
   }
   float acc = hsum8(_mm256_add_ps(acc0, acc1));
-  for (; kk < k; ++kk) acc += a[kk] * b[kk];
+  for (; kk < k; ++kk) acc = add_product(acc, a[kk], b[kk]);
   return acc;
 }
 
@@ -82,8 +94,8 @@ __attribute__((target("avx2,fma"))) void gemm_nt_avx2_rows(
     }
     for (; kk < k; ++kk) {
       for (int r = 0; r < R; ++r) {
-        p[r][0] += arow[r][kk] * b0[kk];
-        p[r][1] += arow[r][kk] * b1[kk];
+        p[r][0] = add_product(p[r][0], arow[r][kk], b0[kk]);
+        p[r][1] = add_product(p[r][1], arow[r][kk], b1[kk]);
       }
     }
     for (int r = 0; r < R; ++r) {
@@ -99,8 +111,10 @@ __attribute__((target("avx2,fma"))) void gemm_nt_avx2_rows(
   }
 }
 
-/// Rows [lo, hi) of A against all n B rows: greedy 6/4/2-row blocks, single
-/// rows fall back to the plain vectorized dot.
+/// Rows [lo, hi) of A against all n B rows: greedy 6/4/2/1-row blocks. A
+/// row's sums do not depend on the block it lands in (each C element is one
+/// accumulator chain in every block size), so neither the pool's chunking
+/// nor the batch size changes a row's bits.
 __attribute__((target("avx2,fma"))) void gemm_nt_avx2(
     std::int64_t n, std::int64_t k, const float* a, const float* b, float* c,
     std::size_t lo, std::size_t hi) {
@@ -114,37 +128,121 @@ __attribute__((target("avx2,fma"))) void gemm_nt_avx2(
     gemm_nt_avx2_rows<2>(n, k, a, b, c, i);
     i += 2;
   }
-  for (; i < hi; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      crow[j] += dot_avx2(arow, b + j * k, k);
+  if (i < hi) gemm_nt_avx2_rows<1>(n, k, a, b, c, i);
+}
+
+/// One tile of C, rows [i, i + R) x columns [j, j + 8 * W), held in R * W
+/// ymm accumulators across the whole k loop. A[i][kk] is a[i * rs + kk * ks].
+/// Each product is rounded, then added, in kk order: the scalar ikj loop's
+/// arithmetic exactly (no `fma` in the target, so nothing can contract).
+template <int R, int W>
+__attribute__((target("avx2"))) void ikj_tile(std::int64_t n, std::int64_t k,
+                                              const float* a, std::int64_t rs,
+                                              std::int64_t ks, const float* b,
+                                              float* c, std::int64_t i,
+                                              std::int64_t j) {
+  __m256 acc[R][W];
+  for (int r = 0; r < R; ++r) {
+    for (int w = 0; w < W; ++w) {
+      acc[r][w] = _mm256_loadu_ps(c + (i + r) * n + j + 8 * w);
     }
+  }
+  const float* ai = a + i * rs;
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* bk = b + kk * n + j;
+    __m256 vb[W];
+    for (int w = 0; w < W; ++w) vb[w] = _mm256_loadu_ps(bk + 8 * w);
+    const float* ak = ai + kk * ks;
+    for (int r = 0; r < R; ++r) {
+      const __m256 va = _mm256_broadcast_ss(ak + r * rs);
+      for (int w = 0; w < W; ++w) {
+        acc[r][w] = _mm256_add_ps(acc[r][w], _mm256_mul_ps(va, vb[w]));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int w = 0; w < W; ++w) {
+      _mm256_storeu_ps(c + (i + r) * n + j + 8 * w, acc[r][w]);
+    }
+  }
+}
+
+/// Rows [i, i + R) of C: 16-wide tiles, one 8-wide tile, then the scalar
+/// loop for the last n % 8 columns.
+template <int R>
+__attribute__((target("avx2"))) void ikj_rows_avx2(
+    std::int64_t n, std::int64_t k, const float* a, std::int64_t rs,
+    std::int64_t ks, const float* b, float* c, std::int64_t i) {
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) ikj_tile<R, 2>(n, k, a, rs, ks, b, c, i, j);
+  if (j + 8 <= n) {
+    ikj_tile<R, 1>(n, k, a, rs, ks, b, c, i, j);
+    j += 8;
+  }
+  for (; j < n; ++j) {
+    for (int r = 0; r < R; ++r) {
+      float* cij = c + (i + r) * n + j;
+      float acc = *cij;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        acc += a[(i + r) * rs + kk * ks] * b[kk * n + j];
+      }
+      *cij = acc;
+    }
+  }
+}
+
+/// Rows [lo, hi) in blocks of up to 6 (12 of the 16 ymm registers
+/// accumulate).
+void ikj_avx2(std::int64_t n, std::int64_t k, const float* a, std::int64_t rs,
+              std::int64_t ks, const float* b, float* c, std::int64_t lo,
+              std::int64_t hi) {
+  static constexpr decltype(&ikj_rows_avx2<1>) kRows[] = {
+      nullptr,          ikj_rows_avx2<1>, ikj_rows_avx2<2>, ikj_rows_avx2<3>,
+      ikj_rows_avx2<4>, ikj_rows_avx2<5>, ikj_rows_avx2<6>};
+  for (std::int64_t i = lo; i < hi; i += 6) {
+    kRows[std::min<std::int64_t>(6, hi - i)](n, k, a, rs, ks, b, c, i);
   }
 }
 
 }  // namespace
 #endif  // DEEPSZ_X86_DISPATCH
 
-void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-          const float* b, float* c) {
-  // ikj order: C row accumulates A[i][kk] * B row kk; innermost loop is
-  // contiguous over both B and C, which GCC vectorizes.
+namespace {
+
+/// C[MxN] += A * B[KxN] with A[i][kk] at a[i * rs + kk * ks]; gemm and
+/// gemm_tn differ only in the strides. Rows are parallelized; every C element
+/// sums its products in kk order on every path, so the partition never
+/// changes its bits.
+void gemm_ikj(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              std::int64_t rs, std::int64_t ks, const float* b, float* c) {
   auto row_block = [&](std::size_t lo, std::size_t hi) {
+#ifdef DEEPSZ_X86_DISPATCH
+    if (have_avx2_fma()) {
+      ikj_avx2(n, k, a, rs, ks, b, c, static_cast<std::int64_t>(lo),
+               static_cast<std::int64_t>(hi));
+      return;
+    }
+#endif
+    // ikj order: C row accumulates A[i][kk] * B row kk; the innermost loop
+    // is contiguous over both B and C, which GCC vectorizes.
     for (std::size_t i = lo; i < hi; ++i) {
       float* crow = c + i * n;
-      const float* arow = a + i * k;
       for (std::int64_t kk = 0; kk < k; ++kk) {
-        float av = arow[kk];
+        const float av = a[static_cast<std::int64_t>(i) * rs + kk * ks];
         if (av == 0.0f) continue;  // pruned-weight rows benefit
         const float* brow = b + kk * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-          crow[j] += av * brow[j];
-        }
+        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   };
   util::parallel_for_chunks(0, static_cast<std::size_t>(m), row_block, 8);
+}
+
+}  // namespace
+
+void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+          const float* b, float* c) {
+  gemm_ikj(m, n, k, a, k, 1, b, c);
 }
 
 void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
@@ -234,21 +332,8 @@ void gemm_nt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
 
 void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
              const float* b, float* c) {
-  // A is KxM; we compute C[i][j] += sum_kk A[kk][i] * B[kk][j].
-  auto row_block = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      float* crow = c + i * n;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        float av = a[kk * m + i];
-        if (av == 0.0f) continue;
-        const float* brow = b + kk * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-          crow[j] += av * brow[j];
-        }
-      }
-    }
-  };
-  util::parallel_for_chunks(0, static_cast<std::size_t>(m), row_block, 8);
+  // A is KxM: A[i][kk] sits at a[kk * m + i].
+  gemm_ikj(m, n, k, a, 1, m, b, c);
 }
 
 void im2col(const float* input, std::int64_t channels, std::int64_t height,

@@ -5,6 +5,7 @@
 
 #include "compress/registry.h"
 #include "compress/session.h"
+#include "nn/layers.h"
 #include "tests/compress/tiny_model.h"
 
 namespace deepsz {
@@ -147,6 +148,57 @@ TEST(CompressionSessionTest, CancelMidAssessLeavesSessionUsable) {
   EXPECT_TRUE(session.stage_done(Stage::kAssess));
   auto report = session.run();
   EXPECT_FALSE(report.model.bytes.empty());
+}
+
+/// The session reads the pruned and decoded accuracies from its trunk-caching
+/// oracle; both must equal a full nn::evaluate pass exactly. The test sets
+/// span several batches of both (evaluate: 128, oracle: 256).
+void expect_accuracies_match_evaluate(testing::TinyModel& m,
+                                      compress::CompressSpec spec) {
+  auto session = make_session(m, "deepsz", std::move(spec));
+  session.run_prune();
+  const auto pruned = nn::evaluate(m.net, m.test.images, m.test.labels);
+  auto report = session.run();
+  const auto decoded = nn::evaluate(m.net, m.test.images, m.test.labels);
+  EXPECT_EQ(report.acc_pruned.top1, pruned.top1);
+  EXPECT_EQ(report.acc_pruned.top5, pruned.top5);
+  EXPECT_EQ(report.acc_decoded.top1, decoded.top1);
+  EXPECT_EQ(report.acc_decoded.top5, decoded.top5);
+}
+
+TEST(CompressionSessionTest, ReportedAccuraciesEqualFullEvaluate) {
+  auto tiny = testing::make_tiny_pruned(/*prune=*/false);
+  tiny.test = data::synthetic_mnist(300, 0xbe23);
+  expect_accuracies_match_evaluate(tiny, tiny_spec());
+
+  // A conv trunk, so the oracle's cached features stand in for a real
+  // trunk pass.
+  testing::TinyModel conv;
+  conv.net.add<nn::Conv2D>(1, 4, 3, 1, 1);
+  conv.net.add<nn::ReLU>();
+  conv.net.add<nn::MaxPool2D>(2, 2);
+  conv.net.add<nn::Flatten>();
+  conv.net.add<nn::Dense>(4 * 4 * 4, 16)->set_name("fc1");
+  conv.net.add<nn::ReLU>();
+  conv.net.add<nn::Dense>(16, 3)->set_name("fc2");
+  nn::he_initialize(conv.net, 71);
+  util::Pcg32 rng(72);
+  for (auto* set : {&conv.train, &conv.test}) {
+    const std::int64_t n = 300;
+    set->images = nn::Tensor({n, 1, 8, 8});
+    set->labels.resize(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      const int cls = static_cast<int>(i % 3);
+      set->labels[static_cast<std::size_t>(i)] = cls;
+      for (int p = 0; p < 64; ++p) {
+        set->images[i * 64 + p] =
+            static_cast<float>(rng.normal(0.3 * cls, 0.2));
+      }
+    }
+  }
+  compress::CompressSpec spec = tiny_spec();
+  spec.prune.keep_ratio = {{"fc1", 0.30}, {"fc2", 0.50}};
+  expect_accuracies_match_evaluate(conv, std::move(spec));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "nn/init.h"
@@ -86,6 +87,62 @@ TEST(Network, HeInitScalesWithFanIn) {
   }
   double var = sumsq / d->weight().numel();
   EXPECT_NEAR(var, 2.0 / 10000.0, 0.3 * 2.0 / 10000.0);
+}
+
+/// Network::backward skips the first parameterized layer's input gradient;
+/// every layer's parameter gradients must still equal, bit for bit, those of
+/// a full backward that computes it.
+void expect_backward_matches_full(Network& net, const Tensor& x) {
+  he_initialize(net, 21);
+  util::Pcg32 rng(22);
+  Tensor y = net.forward(x, /*train=*/true);
+  Tensor dloss(y.shape());
+  for (std::int64_t i = 0; i < dloss.numel(); ++i) {
+    dloss[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  net.backward(dloss);
+  std::vector<Tensor> skipped;
+  for (auto* g : net.grads()) skipped.push_back(*g);
+
+  Tensor cur = dloss;
+  for (auto it = net.layers().rbegin(); it != net.layers().rend(); ++it) {
+    cur = (*it)->backward(cur);
+  }
+  EXPECT_EQ(cur.shape(), x.shape());  // a layer called directly returns dx
+  auto full = net.grads();
+  ASSERT_EQ(full.size(), skipped.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i]->shape(), skipped[i].shape());
+    EXPECT_EQ(std::memcmp(full[i]->data(), skipped[i].data(),
+                          sizeof(float) * full[i]->numel()),
+              0)
+        << "grad " << i;
+  }
+}
+
+TEST(Network, BackwardSkippingFirstInputGradientKeepsParamGrads) {
+  Network conv("conv");
+  conv.add<Conv2D>(2, 4, 3, 1, 1);
+  conv.add<ReLU>();
+  conv.add<MaxPool2D>(2, 2);
+  conv.add<Conv2D>(4, 6, 3);
+  conv.add<Flatten>();
+  conv.add<Dense>(6 * 2 * 2, 8);
+  conv.add<ReLU>();
+  conv.add<Dense>(8, 3);
+  Tensor images({5, 2, 8, 8});
+  util::Pcg32 rng(23);
+  for (std::int64_t i = 0; i < images.numel(); ++i) {
+    images[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  expect_backward_matches_full(conv, images);
+
+  auto mlp = tiny_mlp();  // Flatten first: the skip starts at fc1
+  Tensor rows({7, 8});
+  for (std::int64_t i = 0; i < rows.numel(); ++i) {
+    rows[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  expect_backward_matches_full(mlp, rows);
 }
 
 TEST(Training, LossDecreasesOnSeparableTask) {

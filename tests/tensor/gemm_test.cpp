@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "util/rng.h"
@@ -84,6 +85,79 @@ TEST(GemmTn, MatchesNormalGemmWithTransposedA) {
   gemm_tn(m, n, k, at.data(), b.data(), c2.data());
   for (std::size_t i = 0; i < c1.size(); ++i) {
     ASSERT_NEAR(c1[i], c2[i], 1e-4);
+  }
+}
+
+/// The scalar float ikj loop both ikj GEMMs must reproduce bit for bit:
+/// A[i][kk] at a[i * rs + kk * ks], products rounded then added in kk order,
+/// zero A entries skipped.
+void ikj_ref(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+             std::int64_t rs, std::int64_t ks, const float* b, float* c) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = a[i * rs + kk * ks];
+      if (av == 0.0f) continue;
+      for (std::int64_t j = 0; j < n; ++j) c[i * n + j] += av * b[kk * n + j];
+    }
+  }
+}
+
+/// Runs `kernel` (gemm or gemm_tn, A stored with strides rs/ks) over the
+/// shape grid and memcmp-checks it against ikj_ref. A has zeros (a pruned
+/// layer's pattern) and C starts nonzero, so accumulation order shows.
+template <typename Kernel>
+void expect_bit_exact_ikj(Kernel kernel, bool transposed_a) {
+  util::Pcg32 rng(11);
+  for (std::int64_t m : {1, 2, 5, 6, 7, 13}) {
+    for (std::int64_t n : {1, 7, 8, 15, 16, 17, 64, 576}) {
+      for (std::int64_t k : {0, 1, 25, 500}) {
+        auto a = random_matrix(m * k, rng);
+        for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+        auto b = random_matrix(k * n, rng);
+        auto c = random_matrix(m * n, rng);
+        auto c_ref = c;
+        kernel(m, n, k, a.data(), b.data(), c.data());
+        if (transposed_a) {
+          ikj_ref(m, n, k, a.data(), 1, m, b.data(), c_ref.data());
+        } else {
+          ikj_ref(m, n, k, a.data(), k, 1, b.data(), c_ref.data());
+        }
+        ASSERT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
+                  0)
+            << m << "x" << n << "x" << k;
+      }
+    }
+  }
+}
+
+TEST(Gemm, BitExactWithScalarIkjLoop) {
+  expect_bit_exact_ikj(gemm, /*transposed_a=*/false);
+}
+
+TEST(GemmTn, BitExactWithScalarIkjLoop) {
+  expect_bit_exact_ikj(gemm_tn, /*transposed_a=*/true);
+}
+
+TEST(GemmNt, RowBitsIndependentOfBatch) {
+  // A row's sums must not depend on which register block (or pool chunk)
+  // it lands in: compress output would otherwise change with the thread
+  // count and the serving batch with the batch size.
+  util::Pcg32 rng(4);
+  const std::int64_t n = 9;  // odd: the last column takes the dot tail
+  for (std::int64_t k : {37, 300}) {  // k % 8 != 0 and k % 16 >= 8: tails
+    auto bt = random_matrix(n * k, rng);
+    for (std::int64_t m = 1; m <= 13; ++m) {
+      auto a = random_matrix(m * k, rng);
+      std::vector<float> c(m * n, 0.0f);
+      gemm_nt(m, n, k, a.data(), bt.data(), c.data());
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::vector<float> row(n, 0.0f);
+        gemm_nt(1, n, k, a.data() + i * k, bt.data(), row.data());
+        ASSERT_EQ(
+            std::memcmp(row.data(), c.data() + i * n, n * sizeof(float)), 0)
+            << "row " << i << " of " << m << ", k " << k;
+      }
+    }
   }
 }
 
