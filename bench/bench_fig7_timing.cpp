@@ -65,7 +65,7 @@ int main() {
         core::optimize_for_accuracy(assessments, cfg.expected_acc_loss);
     std::map<std::string, double> ebs;
     for (const auto& c : chosen.choices) ebs[c.layer] = c.eb;
-    core::encode_model(layers, ebs, sz::SzParams{});
+    core::encode_model(layers, ebs, core::ContainerOptions{});
     const double deepsz_s = deepsz_span.close() / 1e3;
 
     // Measured epoch time (one masked training epoch; mutates the network,
@@ -107,7 +107,7 @@ int main() {
 
     std::map<std::string, double> ebs;
     for (const auto& fc : spec.fc) ebs[fc.layer] = fc.chosen_eb;
-    auto model = core::encode_model(layers, ebs, sz::SzParams{});
+    auto model = core::encode_model(layers, ebs, core::ContainerOptions{});
 
     // DeepSZ decode, serial so the lossless and eb_decode spans stage under
     // this span's label; the dense rebuild gets reconstruct spans.
@@ -216,10 +216,9 @@ int main() {
   }
 
   bench::print_title(
-      "SZ stream v1 vs v2: cold decode of one large fc layer",
-      "v1 is one monolithic serial pass; v2 chunks (64 Ki floats) carry "
-      "their own Huffman table/outliers and decode independently across "
-      "ThreadPool::global(). Ratio delta must stay within 2% of v1");
+      "SZ stream v2: cold decode of one large fc layer",
+      "64 Ki-float chunks carry their own Huffman table/outliers and decode "
+      "independently across ThreadPool::global()");
   std::printf("hardware threads: %zu (DEEPSZ_THREADS overrides)\n\n",
               util::ThreadPool::global().size());
   {
@@ -235,33 +234,23 @@ int main() {
     bench::print_row({"stream", "bytes", "ratio", "encode ms",
                       "cold decode ms"},
                      15);
-    double dec_ms[2] = {0.0, 0.0};
-    double ratio[2] = {0.0, 0.0};
-    for (int v = 1; v <= 2; ++v) {
-      sz::SzParams params;
-      params.stream_version = static_cast<std::uint32_t>(v);
-      obs::TraceSpan enc_span("sz_compress", "bench");
-      auto stream = sz::compress(layer.data, params);
-      const double enc_ms = enc_span.close();
-      double best = 1e300;  // best of three: cold decode, no warm cache help
-      for (int rep = 0; rep < 3; ++rep) {
-        obs::TraceSpan dec_span("sz_decompress", "bench");
-        auto back = sz::decompress(stream);
-        best = std::min(best, dec_span.close());
-        if (back.size() != layer.data.size()) return 1;
-      }
-      dec_ms[v - 1] = best;
-      ratio[v - 1] = static_cast<double>(layer.data.size() * sizeof(float)) /
-                     static_cast<double>(stream.size());
-      bench::print_row({"sz-v" + std::to_string(v),
-                        std::to_string(stream.size()),
-                        bench::fmt(ratio[v - 1], 3), bench::fmt(enc_ms, 1),
-                        bench::fmt(best, 1)},
-                       15);
+    obs::TraceSpan enc_span("sz_compress", "bench");
+    auto stream = sz::compress(layer.data, sz::SzParams{});
+    const double enc_ms = enc_span.close();
+    double best = 1e300;  // best of three: cold decode, no warm cache help
+    for (int rep = 0; rep < 3; ++rep) {
+      obs::TraceSpan dec_span("sz_decompress", "bench");
+      auto back = sz::decompress(stream);
+      best = std::min(best, dec_span.close());
+      if (back.size() != layer.data.size()) return 1;
     }
-    std::printf(
-        "\nv2 cold-decode speedup: %.2fx, compression-ratio delta: %.2f%%\n",
-        dec_ms[0] / dec_ms[1], 100.0 * (ratio[0] - ratio[1]) / ratio[0]);
+    const double ratio =
+        static_cast<double>(layer.data.size() * sizeof(float)) /
+        static_cast<double>(stream.size());
+    bench::print_row({"sz-v2", std::to_string(stream.size()),
+                      bench::fmt(ratio, 3), bench::fmt(enc_ms, 1),
+                      bench::fmt(best, 1)},
+                     15);
   }
   return 0;
 }

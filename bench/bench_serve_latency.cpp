@@ -146,9 +146,9 @@ int main() {
       "request pays only the reached layers, overlapped with their compute.\n");
 
   bench::print_title(
-      "Cold-miss decode: sz stream v1 vs v2 through ModelStore",
-      "one >= 4M-parameter layer; the cold get() pays the full codec cost. "
-      "v2 fans the layer's chunks across ThreadPool::global()");
+      "Cold-miss decode: sz stream v2 through ModelStore",
+      "one >= 4M-parameter layer; the cold get() pays the full codec cost, "
+      "fanning the layer's chunks across ThreadPool::global()");
   std::printf("hardware threads: %zu (DEEPSZ_THREADS overrides)\n\n",
               util::ThreadPool::global().size());
   {
@@ -161,27 +161,19 @@ int main() {
     bench::print_row({"data codec", "payload", "cold get ms", "lossless ms",
                       "eb block ms", "reconstr ms"},
                      14);
-    double cold_ms[2] = {0.0, 0.0};
-    const char* specs[2] = {"sz:stream=1", "sz"};
-    for (int v = 0; v < 2; ++v) {
-      core::ContainerOptions copts;
-      copts.data_codec = specs[v];
-      auto encoded = core::encode_model(big, {}, copts);
-      serve::ModelStore store(encoded.bytes);
-      obs::Tracer::reset();
-      obs::TraceSpan span("get", "bench");
-      auto layer = store.get("fc6");
-      cold_ms[v] = span.close();
-      (void)layer;
-      bench::print_row({specs[v],
-                        std::to_string(encoded.compressed_payload_bytes()),
-                        bench::fmt(cold_ms[v], 1),
-                        bench::fmt(store_stage_ms("lossless"), 1),
-                        bench::fmt(store_stage_ms("eb_decode"), 1),
-                        bench::fmt(store_stage_ms("reconstruct"), 1)},
-                       14);
-    }
-    std::printf("\nv2 cold-miss speedup: %.2fx\n", cold_ms[0] / cold_ms[1]);
+    auto encoded = core::encode_model(big, {}, core::ContainerOptions{});
+    serve::ModelStore store(encoded.bytes);
+    obs::Tracer::reset();
+    obs::TraceSpan span("get", "bench");
+    auto layer = store.get("fc6");
+    const double cold_ms = span.close();
+    (void)layer;
+    bench::print_row({"sz", std::to_string(encoded.compressed_payload_bytes()),
+                      bench::fmt(cold_ms, 1),
+                      bench::fmt(store_stage_ms("lossless"), 1),
+                      bench::fmt(store_stage_ms("eb_decode"), 1),
+                      bench::fmt(store_stage_ms("reconstruct"), 1)},
+                     14);
   }
 
   bench::print_title(

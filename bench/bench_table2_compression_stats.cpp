@@ -26,7 +26,7 @@ int main() {
 
     std::map<std::string, double> ebs;
     for (const auto& fc : spec.fc) ebs[fc.layer] = fc.chosen_eb;
-    auto model = core::encode_model(layers, ebs, sz::SzParams{});
+    auto model = core::encode_model(layers, ebs, core::ContainerOptions{});
 
     std::printf("\n-- %s --\n", spec.name.c_str());
     bench::print_row({"layer", "original", "prune keep", "CSR size",

@@ -57,7 +57,7 @@ int main() {
       }
 
       auto model = core::encode_model({layer}, {{layer.name, fc.chosen_eb}},
-                                      sz::SzParams{});
+                                      core::ContainerOptions{});
       dsz_total += model.compressed_payload_bytes();
       double dsz_ratio = model.compression_ratio();
 

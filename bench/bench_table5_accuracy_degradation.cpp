@@ -56,7 +56,7 @@ int main() {
         assessments, cfg.expected_acc_loss, joint_drop);
     std::map<std::string, double> ebs;
     for (const auto& c : chosen.choices) ebs[c.layer] = c.eb;
-    auto model = core::encode_model(layers, ebs, sz::SzParams{});
+    auto model = core::encode_model(layers, ebs, core::ContainerOptions{});
 
     std::vector<sparse::PrunedLayer> dsz_layers;
     {

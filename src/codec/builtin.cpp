@@ -141,6 +141,9 @@ sz::PredictorMode sz_predictor(const std::string& s) {
       s + "\"");
 }
 
+/// "stream=1" names the read-only v1 layout: containers on disk record
+/// "sz:stream=1" specs, so the spec must keep resolving for decode, but
+/// encoding it is refused — sz::compress writes stream v2 only.
 class SzCodec : public FloatCodec {
  public:
   explicit SzCodec(const Options& opts) {
@@ -153,11 +156,11 @@ class SzCodec : public FloatCodec {
         opts.get_u64("block_size", sz::SzParams{}.block_size));
     params_.predictor = sz_predictor(opts.get("predictor", "adaptive"));
     params_.backend = byte_codec_id(opts.get("backend", "zstd"));
-    params_.stream_version = static_cast<std::uint32_t>(
-        opts.get_u64("stream", sz::SzParams{}.stream_version));
-    if (params_.stream_version != 1 && params_.stream_version != 2) {
+    const std::uint64_t stream = opts.get_u64("stream", 2);
+    if (stream != 1 && stream != 2) {
       throw BadOptions("sz: stream must be 1 or 2");
     }
+    read_only_v1_ = stream == 1;
     params_.chunk_size = static_cast<std::uint32_t>(
         opts.get_u64("chunk_size", sz::SzParams{}.chunk_size));
     if (params_.chunk_size < 16) {
@@ -165,12 +168,13 @@ class SzCodec : public FloatCodec {
     }
   }
 
-  explicit SzCodec(const sz::SzParams& params) : params_(params) {}
-
   std::string name() const override { return "sz"; }
 
   std::vector<std::uint8_t> encode(std::span<const float> data,
                                    const FloatParams& p) const override {
+    if (read_only_v1_) {
+      throw BadOptions("sz: stream v1 is read-only; encode with stream=2");
+    }
     sz::SzParams params = params_;
     params.error_bound = p.tolerance;
     return sz::compress(data, params);
@@ -183,6 +187,7 @@ class SzCodec : public FloatCodec {
 
  private:
   sz::SzParams params_;
+  bool read_only_v1_ = false;
 };
 
 /// f32: verbatim little-endian fp32 floats. The lossless end of the

@@ -36,8 +36,8 @@ EbPoint test_error_bound(nn::Network& net, const sparse::PrunedLayer& layer,
 std::vector<LayerAssessment> assess_error_bounds(
     nn::Network& net, const std::vector<sparse::PrunedLayer>& layers,
     AccuracyOracle& oracle, const AssessmentConfig& config) {
-  // sz_codec_spec omits the error-bound mode; the "sz" codec defaults to
-  // abs, matching the kAbs the pre-registry assessment forced per test.
+  // The spec carries config.sz's mode and chunk size, so the bounds tested
+  // here are the bounds the container is later encoded with.
   auto codec = config.codec
                    ? config.codec
                    : codec::CodecRegistry::instance().make_float(

@@ -302,43 +302,7 @@ DeltaModel encode_delta_model(const ContainerReader& base,
     model.stats.push_back(std::move(stats));
   }
 
-  if (options.write_index) {
-    std::vector<std::uint8_t> footer;
-    util::put_le<std::uint32_t>(footer, static_cast<std::uint32_t>(n));
-    for (const auto& e : directory) {
-      util::put_string(footer, e.name);
-      util::put_le<std::int64_t>(footer, e.rows);
-      util::put_le<std::int64_t>(footer, e.cols);
-      util::put_le<double>(footer, e.eb);
-      util::put_string(footer, e.data.codec);
-      util::put_le<std::uint64_t>(footer, e.data.offset);
-      util::put_le<std::uint64_t>(footer, e.data.length);
-      util::put_le<std::uint32_t>(footer, e.data.crc);
-      util::put_string(footer, e.index.codec);
-      util::put_le<std::uint64_t>(footer, e.index.offset);
-      util::put_le<std::uint64_t>(footer, e.index.length);
-      util::put_le<std::uint32_t>(footer, e.index.crc);
-      util::put_le<std::uint64_t>(footer, e.bias_offset);
-      util::put_le<std::uint64_t>(footer, e.bias_count);
-      util::put_le<std::uint8_t>(footer, static_cast<std::uint8_t>(e.kind));
-      util::put_le<std::uint8_t>(footer,
-                                 static_cast<std::uint8_t>(e.mask_mode));
-      util::put_string(footer, e.corr.codec);
-      util::put_le<std::uint64_t>(footer, e.corr.offset);
-      util::put_le<std::uint64_t>(footer, e.corr.length);
-      util::put_le<std::uint32_t>(footer, e.corr.crc);
-      util::put_le<std::uint32_t>(footer, e.base_data_crc);
-      util::put_le<std::uint32_t>(footer, e.base_index_crc);
-      util::put_le<std::uint32_t>(footer, e.base_bias_crc);
-      util::put_le<std::uint32_t>(footer, e.recon_data_crc);
-      util::put_le<std::uint32_t>(footer, e.recon_index_crc);
-    }
-    const std::uint32_t footer_crc = util::crc32(footer);
-    util::put_bytes(out, footer);
-    util::put_le<std::uint32_t>(out, footer_crc);
-    util::put_le<std::uint64_t>(out, footer.size());
-    util::put_le<std::uint32_t>(out, wire::kFooterMagic);
-  }
+  wire::put_footer(out, directory, wire::kVersionDelta);
   return model;
 }
 

@@ -55,8 +55,6 @@ struct DeltaOptions {
   std::string base_id;
   /// Encode layers across ThreadPool::global().
   bool parallel = true;
-  /// Append the seekable DSZX footer (covers every record kind).
-  bool write_index = true;
 };
 
 /// Per-layer diff outcome.
@@ -94,7 +92,8 @@ struct DeltaModel {
 /// Diffs `target_container` (a full v2/v3 container) against `base`, which
 /// must be fully resolved (a chained base is allowed: attach its own base
 /// via set_base first). The emitted container's base_crc pins
-/// base.container_crc(). Throws std::invalid_argument when the target is
+/// base.container_crc(), and it ends with the seekable DSZX footer, which
+/// covers every record kind. Throws std::invalid_argument when the target is
 /// itself a delta container or the base chain is unresolved, and
 /// codec::UnknownCodec / codec::BadOptions on an unresolvable codec spec.
 DeltaModel encode_delta_model(const ContainerReader& base,

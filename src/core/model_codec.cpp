@@ -66,6 +66,15 @@ std::string predictor_option(sz::PredictorMode mode) {
   return "adaptive";
 }
 
+std::string mode_option(sz::ErrorBoundMode mode) {
+  switch (mode) {
+    case sz::ErrorBoundMode::kAbs: return "abs";
+    case sz::ErrorBoundMode::kRel: return "rel";
+    case sz::ErrorBoundMode::kPsnr: return "psnr";
+  }
+  return "abs";
+}
+
 }  // namespace
 
 std::size_t EncodedModel::dense_bytes() const {
@@ -173,52 +182,25 @@ EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
     }
   }
 
-  if (options.write_index) {
-    std::vector<std::uint8_t> footer;
-    util::put_le<std::uint32_t>(footer, static_cast<std::uint32_t>(n));
-    for (const auto& e : directory) {
-      util::put_string(footer, e.name);
-      util::put_le<std::int64_t>(footer, e.rows);
-      util::put_le<std::int64_t>(footer, e.cols);
-      util::put_le<double>(footer, e.eb);
-      util::put_string(footer, e.data.codec);
-      util::put_le<std::uint64_t>(footer, e.data.offset);
-      util::put_le<std::uint64_t>(footer, e.data.length);
-      util::put_le<std::uint32_t>(footer, e.data.crc);
-      util::put_string(footer, e.index.codec);
-      util::put_le<std::uint64_t>(footer, e.index.offset);
-      util::put_le<std::uint64_t>(footer, e.index.length);
-      util::put_le<std::uint32_t>(footer, e.index.crc);
-      util::put_le<std::uint64_t>(footer, e.bias_offset);
-      util::put_le<std::uint64_t>(footer, e.bias_count);
-    }
-    const std::uint32_t footer_crc = util::crc32(footer);
-    util::put_bytes(out, footer);
-    util::put_le<std::uint32_t>(out, footer_crc);
-    util::put_le<std::uint64_t>(out, footer.size());
-    util::put_le<std::uint32_t>(out, kFooterMagic);
-  }
+  wire::put_footer(out, directory, kVersionCurrent);
   return model;
 }
 
 std::string sz_codec_spec(const sz::SzParams& params) {
-  return "sz:quant_bins=" + std::to_string(params.quant_bins) +
-         ",block_size=" + std::to_string(params.block_size) +
-         ",predictor=" + predictor_option(params.predictor) +
-         ",backend=" + lossless::codec_name(params.backend);
-}
-
-EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
-                          const std::map<std::string, double>& eb_per_layer,
-                          const sz::SzParams& sz_template,
-                          lossless::CodecId index_codec, double default_eb,
-                          const std::map<std::string, std::vector<float>>&
-                              biases) {
-  ContainerOptions options;
-  options.data_codec = sz_codec_spec(sz_template);
-  options.index_codec = lossless::codec_name(index_codec);
-  options.default_eb = default_eb;
-  return encode_model(layers, eb_per_layer, options, biases);
+  const sz::SzParams defaults;
+  std::string spec = "sz:quant_bins=" + std::to_string(params.quant_bins) +
+                     ",block_size=" + std::to_string(params.block_size) +
+                     ",predictor=" + predictor_option(params.predictor) +
+                     ",backend=" + lossless::codec_name(params.backend);
+  // Named only off their defaults, so a default template keeps its spec
+  // string and the containers recording it keep their bytes.
+  if (params.mode != defaults.mode) {
+    spec += ",mode=" + mode_option(params.mode);
+  }
+  if (params.chunk_size != defaults.chunk_size) {
+    spec += ",chunk_size=" + std::to_string(params.chunk_size);
+  }
+  return spec;
 }
 
 // ---------------------------------------------------------------------------

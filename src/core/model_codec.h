@@ -16,12 +16,13 @@
 // one serial scalar pass. Containers holding legacy sz-v1 data streams
 // decode unchanged (the codec auto-detects the stream version).
 //
-// New containers additionally carry a seekable index: a per-stream
-// offset/length table appended as a footer (trailer magic "DSZX"), so
-// ContainerReader can decode one named layer without touching any other
-// layer's bytes — the substrate of the serving layer (serve/model_store.h).
-// Indexless containers are still read by a cheap record scan that never
-// decodes stream payloads. See docs/container_format.md for the wire layout.
+// Every container written today additionally carries a seekable index: a
+// per-stream offset/length table appended as a footer (trailer magic
+// "DSZX"), so ContainerReader can decode one named layer without touching
+// any other layer's bytes — the substrate of the serving layer
+// (serve/model_store.h). Indexless containers already on disk are still
+// read by a cheap record scan that never decodes stream payloads. See
+// docs/container_format.md for the wire layout.
 //
 // The decoder also accepts version-2 containers written before the codec
 // registry existed (implicit SZ data + self-describing lossless index
@@ -89,14 +90,11 @@ struct ContainerOptions {
   /// Encode/decode per-layer streams across ThreadPool::global(). Serial
   /// execution (for timing comparisons) when false or on a 1-thread host.
   bool parallel = true;
-  /// Append the seekable footer index (offset/length/CRC per stream). Old
-  /// readers ignore the trailing bytes; disabling produces an indexless
-  /// container that ContainerReader falls back to scanning.
-  bool write_index = true;
 };
 
 /// Encodes pruned layers with per-layer error bounds (missing layers use
-/// options.default_eb). `biases` optionally carries each layer's bias vector,
+/// options.default_eb) into a version-3 container ending in the seekable
+/// footer index. `biases` optionally carries each layer's bias vector,
 /// stored verbatim (biases are tiny — `rows` floats — and the paper leaves
 /// them uncompressed); pass {} to omit. Throws codec::UnknownCodec /
 /// codec::BadOptions on an unresolvable codec spec.
@@ -106,20 +104,9 @@ EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
                           const std::map<std::string, std::vector<float>>&
                               biases = {});
 
-/// Pre-registry shim: the old free-function signature, forwarded to the
-/// codec-registry path (`sz_template` becomes an "sz:..." spec, `index_codec`
-/// its registry name). Prefer the ContainerOptions overload.
-EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
-                          const std::map<std::string, double>& eb_per_layer,
-                          const sz::SzParams& sz_template,
-                          lossless::CodecId index_codec =
-                              lossless::CodecId::kZstdLike,
-                          double default_eb = 1e-3,
-                          const std::map<std::string, std::vector<float>>&
-                              biases = {});
-
 /// Registry spec ("sz:quant_bins=...,block_size=...,...") equivalent to an
 /// SzParams template; the error bound is supplied per stream at encode time.
+/// `mode` and `chunk_size` are named only when they differ from SzParams{}.
 std::string sz_codec_spec(const sz::SzParams& params);
 
 /// One Figure 7b phase of one layer's decode — "lossless", "eb_decode" or
@@ -217,9 +204,10 @@ struct ContainerEntry {
 /// without touching any other layer's stream bytes.
 ///
 /// Construction parses the footer index when present (O(#layers), no stream
-/// bytes read); indexless containers — both legacy version 2 and version 3
-/// written with write_index=false — are scanned record by record, which reads
-/// record headers only and still never decodes or checksums stream payloads.
+/// bytes read); indexless containers — legacy version 2, and version 3
+/// files written before the footer became mandatory — are scanned record by
+/// record, which reads record headers only and still never decodes or
+/// checksums stream payloads.
 /// The reader is non-owning: `bytes` must outlive it. decode_layer() is
 /// const and thread-safe; distinct layers decode concurrently.
 ///

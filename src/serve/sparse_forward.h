@@ -16,15 +16,15 @@
 //
 // Layers in the compressed-domain form (ServingForm::kCodebookCsr) run the
 // same transposed walk, but each nonzero's weight is a codebook lookup
-// (u8/u16 id -> f32 centroid) instead of a stored f32. The vectorized
-// kernel gathers one row's centroids into a small scratch tile first
-// (AVX2 _mm256_i32gather_ps) and then runs the identical broadcast-FMA
-// loop, so for the same CSR content the codebook and f32 kernels produce
-// bit-identical outputs backend-for-backend.
+// (u8/u16 id -> f32 centroid) instead of a stored f32. There is one kernel
+// per backend: it gathers a codebook row's centroids into a small scratch
+// tile first (on AVX2 with _mm256_i32gather_ps) and then runs the row
+// through the same loop an f32 row runs through, so for the same CSR
+// content the two forms produce bit-identical outputs backend-for-backend.
 //
 // Numerics: summation order differs from the dense path, so logits agree to
 // normal fp tolerance (~1e-5 relative), not bit-exactly. Between the two
-// kernels of ONE backend (csr_val vs codebook) outputs are bit-exact;
+// forms on ONE backend (csr_val vs codebook) outputs are bit-exact;
 // between backends (scalar vs AVX2) only fp-tolerant.
 #pragma once
 
@@ -41,8 +41,8 @@ namespace deepsz::serve {
 /// batch is large enough for it to beat the dense kernel.
 bool sparse_forward_profitable(std::int64_t batch_rows);
 
-/// Kernel selection for sparse_fc_forward. kAuto picks the AVX2+FMA kernels
-/// when the host supports them and the scalar reference otherwise; the
+/// Kernel selection for sparse_fc_forward. kAuto picks the AVX2+FMA kernel
+/// when the host supports it and the scalar reference otherwise; the
 /// forced modes exist for the differential test harness, which compares the
 /// two backends' outputs. kAvx2 throws std::invalid_argument on a host (or
 /// build) without AVX2+FMA.
@@ -50,7 +50,7 @@ enum class ForwardBackend { kAuto, kScalar, kAvx2 };
 
 /// Runs x [M, layers[0]->cols] through the stack (ReLU between layers, none
 /// after the last) using each layer's CSR weights + bias; kCodebookCsr
-/// layers run the codebook-gather kernel, never touching a dense matrix.
+/// layers gather their centroids row by row, never touching a dense matrix.
 /// Layers must chain (rows_i == cols_{i+1}) and carry a CSR view; throws
 /// std::invalid_argument otherwise.
 tensor::Tensor sparse_fc_forward(

@@ -21,17 +21,17 @@
 // layout):
 //
 //   stream v1 — the original monolithic layout: one Huffman table and one
-//     backend pass over the whole array, inherently serial to decode;
-//   stream v2 — the chunked layout (default): the array is split into
-//     fixed-size chunks (64 Ki floats by default), each carrying its own
-//     predictor state, Huffman table and outlier region, with a per-chunk
-//     offset table in the header, so chunks encode and decode independently
-//     and in parallel on util::ThreadPool::global().
+//     backend pass over the whole array, inherently serial to decode.
+//     Read-only: nothing writes it any more;
+//   stream v2 — the chunked layout, the only one compress() emits: the array
+//     is split into fixed-size chunks (64 Ki floats by default), each
+//     carrying its own predictor state, Huffman table and outlier region,
+//     with a per-chunk offset table in the header, so chunks encode and
+//     decode independently and in parallel on util::ThreadPool::global().
 //
-// compress() emits the version selected by SzParams::stream_version;
-// decompress()/inspect() auto-detect and accept both, and the v1 decode path
-// is frozen — existing streams keep decoding bit-exactly (pinned by
-// tests/fixtures/sz_v1.szs).
+// decompress()/inspect() auto-detect and accept both; the v1 decode path is
+// frozen — existing streams keep decoding bit-exactly (pinned by the
+// committed tests/fixtures/sz_v1.szs).
 #pragma once
 
 #include <cstdint>
@@ -67,13 +67,9 @@ struct SzParams {
   PredictorMode predictor = PredictorMode::kAdaptive;
   /// Block length for predictor selection and regression fitting.
   std::uint32_t block_size = 256;
-  /// Lossless backend pass (kStore disables): over the whole stream for
-  /// v1, per chunk for v2.
+  /// Lossless backend pass over each chunk (kStore disables).
   lossless::CodecId backend = lossless::CodecId::kZstdLike;
-  /// Wire format to emit: 2 (chunked, parallel decode) or 1 (legacy
-  /// monolithic). decompress() accepts both regardless.
-  std::uint32_t stream_version = 2;
-  /// Stream v2 only: floats per independently-decodable chunk (>= 16).
+  /// Floats per independently-decodable chunk (>= 16).
   std::uint32_t chunk_size = 64 * 1024;
 };
 
@@ -91,7 +87,8 @@ struct SzStreamInfo {
   std::uint64_t n_chunks = 0;        // v2: independent chunks (0 for v1)
 };
 
-/// Compresses `data`; the result is self-describing.
+/// Compresses `data` into a stream-v2 payload; the result is
+/// self-describing.
 std::vector<std::uint8_t> compress(std::span<const float> data,
                                    const SzParams& params);
 

@@ -1,8 +1,6 @@
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <new>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -15,10 +13,10 @@
 #include "util/byte_io.h"
 #include "util/stats.h"
 
-// This file owns the public entry points and the frozen stream-v1 codec
-// (monolithic layout, serial decode). The chunked v2 layout lives in
-// stream_v2.cpp; compress() dispatches on SzParams::stream_version,
-// decompress()/inspect() on the tag byte after the magic.
+// This file owns the public entry points and the read-only stream-v1 decoder
+// (monolithic layout, serial decode). The chunked v2 layout, the only one
+// compress() writes, lives in stream_v2.cpp; decompress()/inspect() dispatch
+// on the tag byte after the magic.
 
 namespace deepsz::sz {
 namespace {
@@ -46,16 +44,6 @@ double resolve_abs_eb(std::span<const float> data, const SzParams& params) {
   throw std::invalid_argument("sz: unknown error bound mode");
 }
 
-PredictorKind forced_kind(PredictorMode mode) {
-  switch (mode) {
-    case PredictorMode::kLorenzo1Only: return PredictorKind::kLorenzo1;
-    case PredictorMode::kLorenzo2Only: return PredictorKind::kLorenzo2;
-    case PredictorMode::kRegressionOnly: return PredictorKind::kRegression;
-    case PredictorMode::kAdaptive: break;
-  }
-  return PredictorKind::kLorenzo1;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> compress(std::span<const float> data,
@@ -63,135 +51,7 @@ std::vector<std::uint8_t> compress(std::span<const float> data,
   if (params.error_bound <= 0) {
     throw std::invalid_argument("sz: error bound must be positive");
   }
-  if (params.stream_version == 2) {
-    return v2::compress(data, params, resolve_abs_eb(data, params));
-  }
-  if (params.stream_version != 1) {
-    throw std::invalid_argument("sz: unknown stream_version " +
-                                std::to_string(params.stream_version));
-  }
-  const std::uint32_t bins = std::max<std::uint32_t>(16, params.quant_bins);
-  const std::uint32_t block_size = std::max<std::uint32_t>(16, params.block_size);
-  const double eb = resolve_abs_eb(data, params);
-  const std::size_t n = data.size();
-  const std::size_t n_blocks = (n + block_size - 1) / block_size;
-
-  LinearQuantizer quantizer(eb, bins);
-
-  std::vector<std::uint8_t> kinds(n_blocks, 0);
-  std::vector<LineFit> fits;
-  std::vector<std::uint32_t> symbols(n);
-  std::vector<float> unpredictable;
-
-  // Pass 1: choose a predictor per block (on original values). Adaptive
-  // mode uses the sampling-based rate model of SZ 2.0: candidate predictors
-  // are quantized over sampled blocks, their code histograms give per-code
-  // bit costs, and each block takes the cheapest candidate.
-  {
-    std::optional<SampledCostModel> model;
-    if (params.predictor == PredictorMode::kAdaptive && n > 0) {
-      model.emplace(data, block_size, eb, bins);
-    }
-    float prev1 = 0.0f, prev2 = 0.0f;
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      const std::size_t lo = b * block_size;
-      const std::size_t hi = std::min(n, lo + block_size);
-      auto block = data.subspan(lo, hi - lo);
-      PredictorKind kind;
-      LineFit fit = fit_line(block);
-      if (model.has_value()) {
-        kind = select_predictor(model->block_costs(block, prev1, prev2, fit));
-      } else {
-        kind = forced_kind(params.predictor);
-      }
-      kinds[b] = static_cast<std::uint8_t>(kind);
-      if (kind == PredictorKind::kRegression) fits.push_back(fit);
-      prev2 = hi - lo >= 2 ? block[hi - lo - 2] : prev1;
-      prev1 = block[hi - lo - 1];
-    }
-  }
-
-  // Pass 2: quantize against reconstructed values (decompressor-consistent).
-  {
-    float prev1 = 0.0f, prev2 = 0.0f;  // reconstructed history
-    std::size_t fit_idx = 0;
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      const std::size_t lo = b * block_size;
-      const std::size_t hi = std::min(n, lo + block_size);
-      const auto kind = static_cast<PredictorKind>(kinds[b]);
-      const LineFit* fit = nullptr;
-      if (kind == PredictorKind::kRegression) fit = &fits[fit_idx++];
-      for (std::size_t i = lo; i < hi; ++i) {
-        float pred;
-        switch (kind) {
-          case PredictorKind::kLorenzo1:
-            pred = prev1;
-            break;
-          case PredictorKind::kLorenzo2:
-            pred = 2.0f * prev1 - prev2;
-            break;
-          case PredictorKind::kRegression:
-            pred = fit->a + fit->b * static_cast<float>(i - lo);
-            break;
-          default:
-            throw std::runtime_error("sz: bad predictor kind");
-        }
-        float recon = 0.0f;
-        std::uint32_t code = quantizer.quantize(data[i], pred, &recon);
-        if (code == LinearQuantizer::kUnpredictable) {
-          unpredictable.push_back(data[i]);
-          recon = data[i];
-        }
-        symbols[i] = code;
-        prev2 = prev1;
-        prev1 = recon;
-      }
-    }
-  }
-
-  // Entropy-code the quantization symbols.
-  std::vector<std::uint64_t> freq(bins, 0);
-  for (auto s : symbols) ++freq[s];
-  lossless::HuffmanEncoder enc;
-  enc.init(freq);
-  util::BitWriter bw;
-  enc.write_table(bw);
-  for (auto s : symbols) enc.encode(bw, s);
-  auto huff_bytes = bw.finish();
-
-  // Assemble the payload.
-  std::vector<std::uint8_t> payload;
-  util::put_le<std::uint32_t>(payload, kVersion);
-  util::put_le<std::uint64_t>(payload, n);
-  util::put_le<double>(payload, eb);
-  util::put_le<std::uint32_t>(payload, bins);
-  util::put_le<std::uint32_t>(payload, block_size);
-  util::put_le<std::uint8_t>(payload, static_cast<std::uint8_t>(params.predictor));
-  util::put_le<std::uint64_t>(payload, unpredictable.size());
-  util::put_le<std::uint64_t>(payload, n_blocks);
-  // Predictor kinds, 2 bits each.
-  {
-    util::BitWriter kb;
-    for (auto k : kinds) kb.write_bits(k, 2);
-    auto kbytes = kb.finish();
-    util::put_le<std::uint64_t>(payload, kbytes.size());
-    util::put_bytes(payload, kbytes);
-  }
-  util::put_le<std::uint64_t>(payload, fits.size());
-  for (const auto& f : fits) {
-    util::put_le<float>(payload, f.a);
-    util::put_le<float>(payload, f.b);
-  }
-  util::put_le<std::uint64_t>(payload, huff_bytes.size());
-  util::put_bytes(payload, huff_bytes);
-  for (float v : unpredictable) util::put_le<float>(payload, v);
-
-  // Outer frame: magic + backend-compressed payload.
-  std::vector<std::uint8_t> out;
-  util::put_le<std::uint32_t>(out, kMagic);
-  auto framed = lossless::compress(params.backend, payload);
-  util::put_bytes(out, framed);
-  return out;
+  return v2::compress(data, params, resolve_abs_eb(data, params));
 }
 
 namespace {

@@ -10,13 +10,12 @@
 
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
+#include "tests/core/container_footer.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
 namespace deepsz::core {
 namespace {
-
-constexpr std::uint32_t kFooterMagic = 0x585a5344;  // "DSZX"
 
 std::vector<sparse::PrunedLayer> some_layers(int n = 2) {
   std::vector<sparse::PrunedLayer> layers;
@@ -32,9 +31,7 @@ std::vector<std::uint8_t> indexed_container() {
 }
 
 std::vector<std::uint8_t> indexless_container() {
-  ContainerOptions opts;
-  opts.write_index = false;
-  return encode_model(some_layers(), {}, opts).bytes;
+  return strip_footer(indexed_container());
 }
 
 /// Appends a hand-built footer (count + entries + trailer) to an indexless
@@ -65,7 +62,7 @@ std::vector<std::uint8_t> with_footer(
   util::put_bytes(out, body);
   util::put_le<std::uint32_t>(out, util::crc32(body));
   util::put_le<std::uint64_t>(out, body.size());
-  util::put_le<std::uint32_t>(out, kFooterMagic);
+  util::put_le<std::uint32_t>(out, wire::kFooterMagic);
   return out;
 }
 
@@ -87,8 +84,8 @@ TEST(ContainerIndexFuzz, EveryTruncationFailsCleanlyExceptExactRecordsEnd) {
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + keep);
     if (keep == records_end) {
-      // Exactly the records: indistinguishable from (and as valid as) a
-      // container written with write_index=false.
+      // Exactly the records: indistinguishable from (and as valid as) an
+      // indexless container.
       ContainerReader reader(cut);
       EXPECT_FALSE(reader.has_footer_index());
       continue;
@@ -255,7 +252,7 @@ TEST(ContainerIndexFuzz, FooterBodyTrailingBytesRejected) {
   util::put_bytes(bad, body);
   util::put_le<std::uint32_t>(bad, util::crc32(body));
   util::put_le<std::uint64_t>(bad, body.size());
-  util::put_le<std::uint32_t>(bad, kFooterMagic);
+  util::put_le<std::uint32_t>(bad, wire::kFooterMagic);
   EXPECT_THROW(ContainerReader{bad}, std::runtime_error);
 }
 

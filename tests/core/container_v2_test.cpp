@@ -1,6 +1,6 @@
 // Container v2: registry codec names per stream, parallel per-layer
 // encode/decode, per-stream CRCs, and decode compatibility with the
-// pre-registry version-2 layout.
+// pre-registry version-2 layout and with recorded read-only specs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "data/weight_synthesis.h"
 #include "lossless/codec.h"
 #include "sz/sz.h"
+#include "tests/core/container_footer.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/stats.h"
@@ -269,17 +270,33 @@ TEST(ContainerV2, StillDecodesLegacyVersion2Containers) {
   EXPECT_EQ(decoded.biases.at("fc6"), (std::vector<float>{0.5f, -1.5f}));
 }
 
-TEST(ContainerV2, LegacyShimStillEncodes) {
+TEST(ContainerV2, RecordedStreamOneSpecStillDecodes) {
+  // Containers on disk may record "sz:stream=1", the read-only v1 spec.
+  // Forge one: an indexless container's record specs are covered by no
+  // CRC, and "stream=2" -> "stream=1" keeps every length and offset.
   auto layers = some_layers(2);
-  sz::SzParams params;
-  params.quant_bins = 512;
-  auto model = encode_model(layers, {{"fc6", 1e-3}}, params,
-                            lossless::CodecId::kGzipLike, 5e-3);
-  EXPECT_EQ(model.stats[0].index_codec, "gzip");
-  EXPECT_EQ(model.stats[0].data_codec, sz_codec_spec(params));
-  EXPECT_DOUBLE_EQ(model.stats[1].eb, 5e-3);
-  auto decoded = decode_model(model.bytes);
-  EXPECT_EQ(decoded.layers[1].index, layers[1].index);
+  ContainerOptions opts;
+  opts.data_codec = "sz:stream=2";
+  const auto bytes = strip_footer(encode_model(layers, {}, opts).bytes);
+  auto patched = bytes;
+  const std::string from = opts.data_codec;
+  int specs = 0;
+  auto it = patched.begin();
+  while ((it = std::search(it, patched.end(), from.begin(), from.end())) !=
+         patched.end()) {
+    it[from.size() - 1] = '1';
+    ++specs;
+  }
+  ASSERT_EQ(specs, 2);  // one record per layer
+
+  auto expected = decode_model(bytes);
+  auto decoded = decode_model(patched);
+  EXPECT_EQ(ContainerReader(patched).entry("fc6").data.codec, "sz:stream=1");
+  ASSERT_EQ(decoded.layers.size(), expected.layers.size());
+  for (std::size_t i = 0; i < expected.layers.size(); ++i) {
+    EXPECT_EQ(decoded.layers[i].data, expected.layers[i].data);
+    EXPECT_EQ(decoded.layers[i].index, expected.layers[i].index);
+  }
 }
 
 }  // namespace

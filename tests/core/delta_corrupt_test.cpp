@@ -20,6 +20,7 @@
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
 #include "server/model_repository.h"
+#include "tests/core/container_footer.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -50,11 +51,10 @@ std::vector<std::uint8_t> successor_container(std::uint64_t seed = 31) {
 
 std::vector<std::uint8_t> delta_container(
     const std::vector<std::uint8_t>& base,
-    const std::vector<std::uint8_t>& target, bool write_index = true,
+    const std::vector<std::uint8_t>& target,
     const std::string& base_id = "base.dszc") {
   DeltaOptions opts;
   opts.base_id = base_id;
-  opts.write_index = write_index;
   return encode_delta_model(base, target, opts).bytes;
 }
 
@@ -122,7 +122,7 @@ TEST(DeltaCorrupt, ForgedBaseCrcAcceptsWrongBaseButLayerPinsCatchIt) {
   // than reconstruct garbage.
   auto base = full_container(31);
   auto wrong_base = full_container(77);
-  auto delta = delta_container(base, successor_container(), false);
+  auto delta = strip_footer(delta_container(base, successor_container()));
 
   // base_crc is the last 4 header bytes: magic, version, n_layers, base_id
   // (u64 length + chars), then the u32 crc.
@@ -142,7 +142,7 @@ TEST(DeltaCorrupt, FlippedBaseIdStillResolvesByCrc) {
   // The base_id is a locator hint, not the identity: mangling it must not
   // affect decoding against a base attached directly (identity is the CRC).
   auto base = full_container();
-  auto delta = delta_container(base, successor_container(), false);
+  auto delta = strip_footer(delta_container(base, successor_container()));
   const auto truth = decode_all(delta, base);
   delta[12 + 8] ^= 0x01;  // first base_id character
   auto tampered = decode_all(delta, base);
@@ -155,9 +155,9 @@ TEST(DeltaCorrupt, FileChainCycleIsACleanError) {
   // recurse forever.
   const std::string dir = ::testing::TempDir();
   auto base = full_container();
-  auto a = delta_container(base, successor_container(31), true,
+  auto a = delta_container(base, successor_container(31),
                            "delta_cycle_b.dszc");
-  auto b = delta_container(base, successor_container(32), true,
+  auto b = delta_container(base, successor_container(32),
                            "delta_cycle_a.dszc");
   auto write = [&](const std::string& name,
                    const std::vector<std::uint8_t>& bytes) {
@@ -260,7 +260,7 @@ TEST(DeltaCorrupt, ResignedStreamForgeryCaughtByReconstructionPins) {
   // record's reconstruction CRC pins must refuse — under no circumstances
   // may the store serve the forged bits as the model.
   auto base = full_container();
-  auto bytes = delta_container(base, successor_container(), false);
+  auto bytes = strip_footer(delta_container(base, successor_container()));
   const auto truth = decode_all(bytes, base);
 
   ContainerReader probe(bytes);

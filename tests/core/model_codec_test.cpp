@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/registry.h"
 #include "data/weight_synthesis.h"
 #include "util/stats.h"
 
@@ -16,7 +17,7 @@ std::vector<sparse::PrunedLayer> two_layers() {
 TEST(ModelCodec, RoundTripWithinErrorBounds) {
   auto layers = two_layers();
   std::map<std::string, double> ebs = {{"fc6", 5e-3}, {"fc7", 1e-3}};
-  auto model = encode_model(layers, ebs, sz::SzParams{});
+  auto model = encode_model(layers, ebs);
   auto decoded = decode_model(model.bytes);
   ASSERT_EQ(decoded.layers.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -35,8 +36,7 @@ TEST(ModelCodec, RoundTripWithinErrorBounds) {
 
 TEST(ModelCodec, StatsAccounting) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
-                            sz::SzParams{});
+  auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}});
   ASSERT_EQ(model.stats.size(), 2u);
   EXPECT_EQ(model.stats[0].dense_bytes, 128u * 512u * 4u);
   EXPECT_GT(model.stats[0].data_bytes, 0u);
@@ -48,15 +48,15 @@ TEST(ModelCodec, StatsAccounting) {
 
 TEST(ModelCodec, MissingLayerUsesDefaultEb) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {{"fc6", 1e-2}}, sz::SzParams{},
-                            lossless::CodecId::kZstdLike, 2e-3);
+  ContainerOptions opts;
+  opts.default_eb = 2e-3;
+  auto model = encode_model(layers, {{"fc6", 1e-2}}, opts);
   EXPECT_DOUBLE_EQ(model.stats[1].eb, 2e-3);
 }
 
 TEST(ModelCodec, CorruptPayloadDetectedByCrc) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
-                            sz::SzParams{});
+  auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}});
   // Flip a byte deep inside the payload (past the header).
   model.bytes[model.bytes.size() / 2] ^= 0x01;
   EXPECT_THROW(decode_model(model.bytes), std::runtime_error);
@@ -64,7 +64,7 @@ TEST(ModelCodec, CorruptPayloadDetectedByCrc) {
 
 TEST(ModelCodec, TruncatedModelThrows) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {}, sz::SzParams{});
+  auto model = encode_model(layers, {});
   model.bytes.resize(model.bytes.size() - 10);
   EXPECT_ANY_THROW(decode_model(model.bytes));
 }
@@ -73,8 +73,7 @@ TEST(ModelCodec, DecodePhaseSpansFeedStageHistograms) {
   // The phase spans of a serial decode stage under the enclosing staged
   // span's model, tracing on or off.
   auto layers = two_layers();
-  auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
-                            sz::SzParams{});
+  auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}});
   obs::TraceSpan span("decode_model", "test");
   span.set_stage("codec_test");
   decode_model(model.bytes, /*parallel=*/false);
@@ -89,8 +88,7 @@ TEST(ModelCodec, BiasesRoundTripVerbatim) {
       {"fc6", {1.5f, -2.5f, 0.0f}},
       {"fc7", {0.25f}},
   };
-  auto model = encode_model(layers, {}, sz::SzParams{},
-                            lossless::CodecId::kZstdLike, 1e-3, biases);
+  auto model = encode_model(layers, {}, ContainerOptions{}, biases);
   auto decoded = decode_model(model.bytes);
   ASSERT_EQ(decoded.biases.size(), 2u);
   EXPECT_EQ(decoded.biases.at("fc6"),
@@ -100,19 +98,44 @@ TEST(ModelCodec, BiasesRoundTripVerbatim) {
 
 TEST(ModelCodec, NoBiasesMeansEmptyMap) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {}, sz::SzParams{});
+  auto model = encode_model(layers, {});
   auto decoded = decode_model(model.bytes);
   EXPECT_TRUE(decoded.biases.empty());
 }
 
 TEST(ModelCodec, IndexCodecChoiceIsHonored) {
   auto layers = two_layers();
-  for (auto codec : {lossless::CodecId::kGzipLike, lossless::CodecId::kZstdLike,
-                     lossless::CodecId::kBloscLike}) {
-    auto model = encode_model(layers, {}, sz::SzParams{}, codec);
+  for (const char* codec : {"gzip", "zstd", "blosc"}) {
+    ContainerOptions opts;
+    opts.index_codec = codec;
+    auto model = encode_model(layers, {}, opts);
+    EXPECT_EQ(model.stats[0].index_codec, codec);
     auto decoded = decode_model(model.bytes);
-    ASSERT_EQ(decoded.layers[0].index, layers[0].index)
-        << lossless::codec_name(codec);
+    ASSERT_EQ(decoded.layers[0].index, layers[0].index) << codec;
+  }
+}
+
+TEST(SzCodecSpec, DefaultTemplateSpecUnchanged) {
+  // Containers record this string; it must not move.
+  EXPECT_EQ(sz_codec_spec(sz::SzParams{}),
+            "sz:quant_bins=65536,block_size=256,predictor=adaptive,"
+            "backend=zstd");
+}
+
+TEST(SzCodecSpec, EncodesExactlyLikeItsTemplate) {
+  const auto x = data::synthesize_fc_weights(40, 100, 2024);
+  sz::SzParams rel;
+  rel.mode = sz::ErrorBoundMode::kRel;
+  sz::SzParams chunked;
+  chunked.chunk_size = 1500;
+  sz::SzParams lorenzo2;
+  lorenzo2.predictor = sz::PredictorMode::kLorenzo2Only;
+  lorenzo2.quant_bins = 1024;
+  for (auto p : {rel, chunked, lorenzo2}) {
+    p.error_bound = 1e-3;
+    const auto spec = sz_codec_spec(p);
+    auto codec = codec::CodecRegistry::instance().make_float(spec);
+    EXPECT_EQ(codec->encode(x, {p.error_bound}), sz::compress(x, p)) << spec;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "data/weight_synthesis.h"
 #include "lossless/codec.h"
 #include "sz/sz.h"
+#include "tests/core/container_footer.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
@@ -62,15 +63,12 @@ TEST(ContainerReader, FooterIndexMatchesEncodeStats) {
 
 TEST(ContainerReader, IndexlessContainerScansToSameDirectory) {
   auto layers = some_layers();
-  ContainerOptions indexed;
-  ContainerOptions indexless;
-  indexless.write_index = false;
-  auto a = encode_model(layers, {}, indexed);
-  auto b = encode_model(layers, {}, indexless);
-  ASSERT_LT(b.bytes.size(), a.bytes.size());  // footer really was appended
+  auto indexed = encode_model(layers, {}).bytes;
+  auto indexless = strip_footer(indexed);
+  ASSERT_LT(indexless.size(), indexed.size());  // footer really was appended
 
-  ContainerReader ra(a.bytes);
-  ContainerReader rb(b.bytes);
+  ContainerReader ra(indexed);
+  ContainerReader rb(indexless);
   EXPECT_TRUE(ra.has_footer_index());
   EXPECT_FALSE(rb.has_footer_index());
   ASSERT_EQ(ra.num_layers(), rb.num_layers());
@@ -105,12 +103,11 @@ TEST(ContainerReader, DecodedLayerMatchesFullDecode) {
 // streams; the target layer must still decode (and the others must fail).
 void expect_random_access_isolation(bool with_footer) {
   auto layers = some_layers(3);
-  ContainerOptions opts;
-  opts.write_index = with_footer;
-  auto model = encode_model(layers, {}, opts);
+  auto bytes = encode_model(layers, {}).bytes;
+  if (!with_footer) bytes = strip_footer(std::move(bytes));
 
-  ContainerReader pristine(model.bytes);
-  auto corrupt_bytes = model.bytes;
+  ContainerReader pristine(bytes);
+  auto corrupt_bytes = bytes;
   for (const char* victim : {"fc6", "fc8"}) {
     const auto& e = pristine.entry(victim);
     for (const auto* s : {&e.data, &e.index}) {

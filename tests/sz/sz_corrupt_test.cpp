@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "lossless/codec.h"
 #include "sz/sz.h"
+#include "tests/sz/sz_v1_fixture.h"
 #include "util/byte_io.h"
 #include "util/rng.h"
 
@@ -28,33 +30,39 @@ std::vector<std::uint8_t> prefix(std::span<const std::uint8_t> s,
   return std::vector<std::uint8_t>(s.begin(), s.begin() + n);
 }
 
+/// The two wire formats, store-backed: v2 from the encoder, v1 from the
+/// committed fixture (nothing encodes v1 any more).
+std::vector<std::pair<const char*, std::vector<std::uint8_t>>>
+store_framed_streams(std::size_t n, std::uint64_t seed) {
+  sz::SzParams params;
+  params.backend = lossless::CodecId::kStore;
+  params.chunk_size = 1024;  // v2: several chunks
+  auto v1 = sz::sz_v1_fixture();
+  // Byte 4 is the backend frame's codec id: the fixture's zstd pass fell
+  // back to a store frame, so every declared length is checked exactly.
+  EXPECT_EQ(v1.at(4), static_cast<std::uint8_t>(lossless::CodecId::kStore));
+  return {{"v1", std::move(v1)},
+          {"v2", sz::compress(weight_like(n, seed), params)}};
+}
+
 TEST(SzCorrupt, EveryTruncatedPrefixThrowsRuntimeError) {
   // A store backend makes truncation detection exact at every length: all
   // declared section lengths are bounds-checked against what is present.
   // Both wire formats must hold the guarantee.
-  for (std::uint32_t version : {1u, 2u}) {
-    sz::SzParams params;
-    params.backend = lossless::CodecId::kStore;
-    params.stream_version = version;
-    params.chunk_size = 1024;  // v2: several chunks
-    auto stream = sz::compress(weight_like(3000, 1), params);
+  for (const auto& [version, stream] : store_framed_streams(3000, 1)) {
     for (std::size_t n = 0; n < stream.size(); ++n) {
       EXPECT_THROW(sz::decompress(prefix(stream, n)), std::runtime_error)
-          << "v" << version << " prefix " << n << "/" << stream.size();
+          << version << " prefix " << n << "/" << stream.size();
     }
   }
 }
 
 TEST(SzCorrupt, TruncatedHeaderPrefixesThrowOnInspect) {
-  for (std::uint32_t version : {1u, 2u}) {
-    sz::SzParams params;
-    params.backend = lossless::CodecId::kStore;
-    params.stream_version = version;
-    auto stream = sz::compress(weight_like(500, 2), params);
+  for (const auto& [version, stream] : store_framed_streams(500, 2)) {
     for (std::size_t n = 0; n < std::min<std::size_t>(stream.size(), 64);
          ++n) {
       EXPECT_THROW(sz::inspect(prefix(stream, n)), std::runtime_error)
-          << "v" << version << " prefix " << n;
+          << version << " prefix " << n;
     }
   }
 }
@@ -73,7 +81,7 @@ TEST(SzCorrupt, CompressedBackendPrefixesNeverEscapeRuntimeError) {
   }
 }
 
-// Patches a fixed-header field of a store-backed *v1* stream. Payload
+// Patches a fixed-header field of the store-framed *v1* fixture. Payload
 // layout after the 13-byte outer frame (magic u32 + frame id u8 +
 // raw_size u64): version u32, count u64, eb f64, bins u32, block u32,
 // predictor u8, unpredictable u64, n_blocks u64. The v2 header-corruption
@@ -88,10 +96,9 @@ std::vector<std::uint8_t> patched(std::vector<std::uint8_t> stream,
 class SzHeaderCorrupt : public ::testing::Test {
  protected:
   void SetUp() override {
-    sz::SzParams params;
-    params.backend = lossless::CodecId::kStore;
-    params.stream_version = 1;
-    stream_ = sz::compress(weight_like(2000, 4), params);
+    stream_ = sz::sz_v1_fixture();
+    ASSERT_EQ(stream_.at(4),
+              static_cast<std::uint8_t>(lossless::CodecId::kStore));
   }
   std::vector<std::uint8_t> stream_;
 };

@@ -1,18 +1,13 @@
-// Regenerates the golden wire-format fixtures under tests/fixtures/.
+// Regenerates the reproducible golden wire-format fixtures.
 //
 //   make_golden_fixtures [output-dir]
 //
-// Writes two tiny containers with fully deterministic content and prints the
-// CRC-32s golden_container_test.cpp asserts:
+// Writes the fixtures the current encoders can still produce, with fully
+// deterministic content, and prints the CRC-32s the golden tests assert:
 //
-//   legacy_v2.dszc   pre-registry version-2 layout (implicit SZ data stream,
-//                    self-describing lossless index frame, no footer)
-//   indexed_v3.dszc  current version-3 layout with the seekable footer index
-//   sz_v1.szs        a bare SZ stream-v1 payload (the monolithic pre-chunked
-//                    wire format), pinning the frozen v1 decode path
 //   sz_v2.szs        a bare SZ stream-v2 payload (chunked, three chunks),
 //                    pinning the v2 decode path bit-exactly
-//   dc_v3.dszc       the same layers Deep-Compression coded ("dc" codebook
+//   dc_v3.dszc       two tiny layers Deep-Compression coded ("dc" codebook
 //                    data streams + "huffman" index streams), pinning the
 //                    compressed-domain (codebook-CSR) decode path
 //   ckpt_v1.dszk     a DSZK training checkpoint (fc6 weight/index/bias plus
@@ -20,31 +15,30 @@
 //                    pinning the checkpoint decode path
 //   delta_base_v3.dszc  a version-3 container whose fc6 values are a
 //                    deterministic perturbation of the standard fixture
-//                    layers (fc7 identical) — the base of the delta fixture
-//   delta_v3.dszc    a version-4 DELTA container: indexed_v3's layers diffed
-//                    against delta_base_v3 (fc6 -> delta record, fc7 ->
-//                    same record), pinning the chain-resolving decode path
+//                    layers (fc7 identical) — the base of delta_v3.dszc
+//
+// The other four fixtures in tests/fixtures/ are frozen: the committed bytes
+// are the reference and nothing regenerates them. legacy_v2.dszc (the
+// pre-registry layout) and sz_v1.szs (the monolithic stream) are formats no
+// encoder writes any more; indexed_v3.dszc carries sz-v1 data streams in a
+// version-3 container, and delta_v3.dszc an sz residual where today's delta
+// encoder writes a "zero" one.
 //
 // Set DEEPSZ_NO_AVX2=1 when regenerating: v2 *encoding* may differ across
-// hosts with different SIMD support (decoding never does).
-//
-// The fixtures lock the decoder against silent wire-format breakage: they
-// are checked in, never rewritten by CI, and the test decodes them
-// bit-exactly. Rerun this tool ONLY for a deliberate, versioned format
-// change, and update the constants in the test from its output.
+// hosts with different SIMD support (decoding never does). CI runs this tool
+// and compares every file it writes with the committed one, so any encoder
+// drift in these formats fails loudly. Update a committed fixture (and the
+// constants in its test) ONLY for a deliberate, versioned format change.
 #include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/delta_codec.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
-#include "lossless/codec.h"
 #include "serve/model_store.h"
 #include "sz/sz.h"
 #include "train/checkpoint.h"
-#include "util/byte_io.h"
 #include "util/crc32.h"
 
 using namespace deepsz;
@@ -66,51 +60,6 @@ std::vector<float> fixture_bias() {
   return bias;
 }
 
-std::vector<std::uint8_t> encode_legacy_v2() {
-  const auto layers = fixture_layers();
-  const auto bias = fixture_bias();
-  std::vector<std::uint8_t> out;
-  util::put_le<std::uint32_t>(out, 0x435a5344);  // "DSZC"
-  util::put_le<std::uint32_t>(out, 2);
-  util::put_le<std::uint32_t>(out, static_cast<std::uint32_t>(layers.size()));
-  for (const auto& layer : layers) {
-    sz::SzParams params;
-    params.mode = sz::ErrorBoundMode::kAbs;
-    params.error_bound = 1e-3;
-    // Legacy containers predate the chunked stream; keep the fixture's data
-    // streams on the v1 wire format they were written with.
-    params.stream_version = 1;
-    auto data_stream = sz::compress(layer.data, params);
-    auto index_stream =
-        lossless::compress(lossless::CodecId::kZstdLike, layer.index);
-    util::put_string(out, layer.name);
-    util::put_le<std::int64_t>(out, layer.rows);
-    util::put_le<std::int64_t>(out, layer.cols);
-    util::put_le<double>(out, 1e-3);
-    util::put_le<std::uint64_t>(out, data_stream.size());
-    util::put_le<std::uint32_t>(out, util::crc32(data_stream));
-    util::put_bytes(out, data_stream);
-    util::put_le<std::uint64_t>(out, index_stream.size());
-    util::put_le<std::uint32_t>(out, util::crc32(index_stream));
-    util::put_bytes(out, index_stream);
-    const bool has_bias = layer.name == "fc6";
-    util::put_le<std::uint64_t>(out, has_bias ? bias.size() : 0);
-    if (has_bias) {
-      for (float b : bias) util::put_le<float>(out, b);
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_indexed_v3() {
-  const auto layers = fixture_layers();
-  std::map<std::string, double> ebs = {{"fc6", 1e-3}, {"fc7", 5e-4}};
-  std::map<std::string, std::vector<float>> biases = {
-      {"fc6", fixture_bias()}};
-  return core::encode_model(layers, ebs, core::ContainerOptions{}, biases)
-      .bytes;
-}
-
 /// The delta fixture's base: fc6's values deterministically nudged (same
 /// sparsity pattern, so the delta record's mask is same-as-base), fc7
 /// untouched (so its record is a zero-byte same reference).
@@ -125,14 +74,6 @@ std::vector<std::uint8_t> encode_delta_base_v3() {
       {"fc6", fixture_bias()}};
   return core::encode_model(layers, ebs, core::ContainerOptions{}, biases)
       .bytes;
-}
-
-std::vector<std::uint8_t> encode_delta_v3(
-    const std::vector<std::uint8_t>& base,
-    const std::vector<std::uint8_t>& target) {
-  core::DeltaOptions opts;
-  opts.base_id = "delta_base_v3.dszc";
-  return core::encode_delta_model(base, target, opts).bytes;
 }
 
 std::vector<std::uint8_t> encode_dc_v3() {
@@ -170,28 +111,6 @@ void report(const char* label, const std::vector<std::uint8_t>& bytes) {
     std::printf("  %-4s entries %zu  data crc 0x%08x  index crc 0x%08x\n",
                 l.name.c_str(), l.stored_entries(), float_crc(l.data),
                 util::crc32(l.index));
-  }
-}
-
-/// Decodes the delta fixture through its chain and prints the per-layer
-/// CRCs delta_golden_test pins — which must equal indexed_v3's, since a
-/// delta container reconstructs its target bit-exactly.
-void report_delta(const char* label, const std::vector<std::uint8_t>& base,
-                  const std::vector<std::uint8_t>& delta) {
-  auto base_reader = std::make_shared<core::ContainerReader>(base);
-  core::ContainerReader reader(delta);
-  reader.set_base(base_reader);
-  std::printf("%s: %zu bytes, file crc 0x%08x (base crc 0x%08x)\n", label,
-              delta.size(), util::crc32(delta), util::crc32(base));
-  for (std::size_t i = 0; i < reader.num_layers(); ++i) {
-    const auto& e = reader.entry(i);
-    auto l = reader.decode_layer(i);
-    auto b = reader.decode_bias(i);
-    std::printf(
-        "  %-4s kind %u  data crc 0x%08x  index crc 0x%08x  bias crc "
-        "0x%08x\n",
-        e.name.c_str(), static_cast<unsigned>(e.kind), float_crc(l.data),
-        util::crc32(l.index), float_crc(b));
   }
 }
 
@@ -234,11 +153,10 @@ std::vector<float> sz_fixture_values() {
   return data::synthesize_fc_weights(40, 100, 2024);  // 4000 floats
 }
 
-std::vector<std::uint8_t> encode_sz_stream(std::uint32_t version) {
+std::vector<std::uint8_t> encode_sz_v2() {
   sz::SzParams params;
   params.error_bound = 1e-3;
-  params.stream_version = version;
-  params.chunk_size = 1500;  // v2: three chunks over 4000 values
+  params.chunk_size = 1500;  // three chunks over 4000 values
   return sz::compress(sz_fixture_values(), params);
 }
 
@@ -323,29 +241,17 @@ void report_ckpt(const char* label, const std::vector<std::uint8_t>& bytes) {
 
 int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? argv[1] : "tests/fixtures";
-  auto legacy = encode_legacy_v2();
-  auto indexed = encode_indexed_v3();
-  auto sz_v1 = encode_sz_stream(1);
-  auto sz_v2 = encode_sz_stream(2);
+  auto sz_v2 = encode_sz_v2();
   auto dc = encode_dc_v3();
   auto ckpt = encode_ckpt_v1();
   auto delta_base = encode_delta_base_v3();
-  auto delta = encode_delta_v3(delta_base, indexed);
-  write_file(dir + "/legacy_v2.dszc", legacy);
-  write_file(dir + "/indexed_v3.dszc", indexed);
-  write_file(dir + "/sz_v1.szs", sz_v1);
   write_file(dir + "/sz_v2.szs", sz_v2);
   write_file(dir + "/dc_v3.dszc", dc);
   write_file(dir + "/ckpt_v1.dszk", ckpt);
   write_file(dir + "/delta_base_v3.dszc", delta_base);
-  write_file(dir + "/delta_v3.dszc", delta);
-  report("legacy_v2.dszc", legacy);
-  report("indexed_v3.dszc", indexed);
-  report_sz("sz_v1.szs", sz_v1);
   report_sz("sz_v2.szs", sz_v2);
   report_dc("dc_v3.dszc", dc);
   report_ckpt("ckpt_v1.dszk", ckpt);
   report("delta_base_v3.dszc", delta_base);
-  report_delta("delta_v3.dszc", delta_base, delta);
   return 0;
 }
