@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -159,7 +160,12 @@ enum class ReadOutcome { kRequest, kClosed, kBadRequest, kTooLarge };
 ReadOutcome read_request(int fd, std::string& buffer, HttpRequest& out,
                          const HttpFrontEnd::Options& options,
                          std::string* error) {
-  // 1. Accumulate the header block.
+  // 1. Accumulate the header block. SO_RCVTIMEO bounds each recv; this
+  // deadline bounds the whole block, so a client trickling one byte per
+  // timeout cannot hold its connection slot forever.
+  const std::uint64_t deadline_ns =
+      obs::now_ns() +
+      static_cast<std::uint64_t>(options.idle_timeout_ms) * 1000000u;
   std::size_t header_end;
   while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
     if (buffer.size() > options.max_header_bytes) {
@@ -167,6 +173,13 @@ ReadOutcome read_request(int fd, std::string& buffer, HttpRequest& out,
                std::to_string(options.max_header_bytes) + " bytes";
       return ReadOutcome::kTooLarge;
     }
+    const std::uint64_t now_ns = obs::now_ns();
+    if (now_ns >= deadline_ns) return ReadOutcome::kClosed;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>((deadline_ns - now_ns + 999999u) / 1000000u));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return ReadOutcome::kClosed;  // deadline passed
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n == 0) return ReadOutcome::kClosed;

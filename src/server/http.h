@@ -67,7 +67,9 @@ class HttpFrontEnd {
     int max_connections = 64;
     std::size_t max_body_bytes = 64ull << 20;
     std::size_t max_header_bytes = 64ull << 10;
-    /// Per-recv timeout; an idle keep-alive connection is closed after it.
+    /// Per-recv timeout, and the bound on reading one request's header
+    /// block: an idle keep-alive connection, or a client that trickles its
+    /// headers, is closed after it.
     int idle_timeout_ms = 30000;
   };
 

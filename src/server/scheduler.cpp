@@ -47,10 +47,10 @@ RequestScheduler::RequestScheduler(ModelRepository& repository,
                                    ServerMetrics* metrics)
     : repo_(repository), options_(options), metrics_(metrics) {
   if (options_.max_batch < 1 || options_.workers_per_model < 1 ||
-      options_.queue_capacity < 1 || options_.max_delay_us < 0) {
+      options_.queue_capacity < 1) {
     throw std::invalid_argument(
         "RequestScheduler: need max_batch >= 1, workers_per_model >= 1, "
-        "queue_capacity >= 1, max_delay_us >= 0");
+        "queue_capacity >= 1");
   }
 }
 
@@ -129,7 +129,6 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
       return fut;
     }
     fut = pending.promise.get_future();
-    mq.queued_rows += pending.req.rows;
     mq.q.push_back(std::move(pending));
     if (metrics_) metrics_->on_enqueue();
     mq.cv.notify_one();
@@ -142,30 +141,24 @@ InferResult RequestScheduler::infer(const std::string& model,
   return submit(model, std::move(req)).get();
 }
 
-void RequestScheduler::take_front_locked(ModelQueue& mq,
-                                         std::vector<Pending>& batch,
-                                         std::int64_t& rows) {
-  rows += mq.q.front().req.rows;
-  mq.queued_rows -= mq.q.front().req.rows;
-  batch.push_back(std::move(mq.q.front()));
-  mq.q.pop_front();
-}
-
-void RequestScheduler::drain_fitting_locked(ModelQueue& mq,
-                                            std::vector<Pending>& batch,
-                                            std::int64_t& rows) const {
-  while (rows < options_.max_batch && !mq.q.empty() &&
-         rows + mq.q.front().req.rows <= options_.max_batch) {
-    take_front_locked(mq, batch, rows);
-  }
+std::vector<RequestScheduler::Pending> RequestScheduler::take_batch_locked(
+    ModelQueue& mq) const {
+  std::vector<Pending> batch;
+  std::int64_t rows = 0;
+  do {
+    rows += mq.q.front().req.rows;
+    batch.push_back(std::move(mq.q.front()));
+    mq.q.pop_front();
+  } while (!mq.q.empty() &&
+           rows + mq.q.front().req.rows <= options_.max_batch);
+  return batch;
 }
 
 void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
   WorkerState state;
   for (;;) {
     std::vector<Pending> batch;
-    std::int64_t rows = 0;
-    Clock::time_point gather_t0{};
+    std::uint64_t gather_t0 = 0;
     {
       util::MutexLock lock(mq.m);
       if (mq.q.empty() && !mq.stop && state.session) {
@@ -180,48 +173,16 @@ void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
       while (!mq.stop && mq.q.empty()) mq.cv.wait(mq.m);
       if (mq.q.empty()) return;  // stop && drained
 
-      take_front_locked(mq, batch, rows);
-      // deepsz-lint: allow(clock-outside-obs) opens the linger window
-      gather_t0 = Clock::now();
-
-      // Gather: drain whatever is queued, then (unless stopping) linger up
-      // to max_delay_us from the first pop for stragglers to coalesce. The
-      // linger wakes only when enough ROWS queued up to fill the batch (or
-      // on stop), not on every arrival — per-request wakeups here would
-      // cost more than the batching saves.
-      const auto close_at =
-          gather_t0 + std::chrono::microseconds(options_.max_delay_us);
-      for (;;) {
-        drain_fitting_locked(mq, batch, rows);
-        if (rows >= options_.max_batch || mq.stop ||
-            options_.max_delay_us == 0) {
-          break;
-        }
-        // Queue non-empty here means the head does not fit the remaining
-        // batch space — run what we have; waiting could never admit it.
-        if (!mq.q.empty()) break;
-        const std::int64_t needed = options_.max_batch - rows;
-        bool window_closed = false;
-        while (!mq.stop && mq.queued_rows < needed) {
-          if (mq.cv.wait_until(mq.m, close_at) == std::cv_status::timeout) {
-            window_closed = true;
-            break;
-          }
-        }
-        if (window_closed) {
-          drain_fitting_locked(mq, batch, rows);  // take stragglers, then run
-          break;
-        }
-      }
+      gather_t0 = obs::now_ns();
+      batch = take_batch_locked(mq);
     }
     if (metrics_) metrics_->on_dequeue(static_cast<std::int64_t>(batch.size()));
     if (obs::Tracer::enabled()) {
-      // The linger window: first pop of this batch until the gather closed.
-      const std::uint64_t t0 = obs::to_trace_ns(gather_t0);
+      // The gather: first pop of this batch until the batch closed.
       const std::uint64_t t1 = obs::now_ns();
       obs::Tracer::emit("linger", "server", name,
-                        std::to_string(batch.size()) + "req", t0,
-                        t1 > t0 ? t1 - t0 : 0);
+                        std::to_string(batch.size()) + "req", gather_t0,
+                        t1 > gather_t0 ? t1 - gather_t0 : 0);
     }
     execute_batch(name, std::move(batch), state);
   }

@@ -2,11 +2,13 @@
 //
 // Each model gets a bounded FIFO queue and a small pool of worker threads;
 // each worker owns one InferenceSession (and its network) per model version,
-// so steady-state batches bind zero weights and run zero codec work. A
-// worker that pops a request keeps gathering compatible requests until the
-// batch holds max_batch rows or max_delay_us has passed since the pop, then
-// runs ONE forward pass for the whole batch — under concurrent load the
-// per-row cost amortizes the way Figure 7a's batched forward passes do.
+// so steady-state batches bind zero weights and run zero codec work. The
+// batcher is work-conserving: an idle worker pops the queue head plus every
+// queued request behind it that still fits in max_batch rows and runs ONE
+// forward pass for the batch at once, waiting on no timer. Batches form from
+// requests that arrive while the model's workers are busy, so under
+// concurrent load the per-row cost amortizes the way Figure 7a's batched
+// forward passes do.
 //
 // Admission control instead of backpressure: a full queue sheds new arrivals
 // immediately with kOverloaded (the HTTP layer maps it to 429), and a
@@ -36,9 +38,6 @@ namespace deepsz::server {
 struct SchedulerOptions {
   /// Max rows coalesced into one forward pass (1 disables batching).
   std::int64_t max_batch = 16;
-  /// How long a worker waits for more rows after popping the first request.
-  /// 0 means "take only what is already queued".
-  std::int64_t max_delay_us = 2000;
   /// Pending requests per model beyond which submit() sheds (kOverloaded).
   std::size_t queue_capacity = 256;
   /// Worker threads (and InferenceSessions) per model.
@@ -89,7 +88,6 @@ class RequestScheduler {
     util::Mutex m;
     util::CondVar cv;
     std::deque<Pending> q DEEPSZ_GUARDED_BY(m);
-    std::int64_t queued_rows DEEPSZ_GUARDED_BY(m) = 0;  // sum of q[i].req.rows
     bool stop DEEPSZ_GUARDED_BY(m) = false;
     // Populated under map_mu_ before any submit can reach this queue; joined
     // by forget()/shutdown() only after the map entry is unreachable, so the
@@ -101,12 +99,10 @@ class RequestScheduler {
 
   ModelQueue& queue_for(const std::string& name) DEEPSZ_REQUIRES(map_mu_);
   void worker_loop(std::string name, ModelQueue& mq);
-  /// Moves the queue head into `batch`, maintaining the row accounting.
-  static void take_front_locked(ModelQueue& mq, std::vector<Pending>& batch,
-                                std::int64_t& rows) DEEPSZ_REQUIRES(mq.m);
-  /// Keeps taking queued requests while they fit the remaining batch space.
-  void drain_fitting_locked(ModelQueue& mq, std::vector<Pending>& batch,
-                            std::int64_t& rows) const DEEPSZ_REQUIRES(mq.m);
+  /// Pops the (non-empty) queue's head plus every request behind it that
+  /// still fits in max_batch rows, in FIFO order.
+  std::vector<Pending> take_batch_locked(ModelQueue& mq) const
+      DEEPSZ_REQUIRES(mq.m);
   void execute_batch(const std::string& name, std::vector<Pending> batch,
                      WorkerState& state);
   void finish(Pending& p, InferResult result);

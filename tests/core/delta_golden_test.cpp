@@ -4,9 +4,12 @@
 // indexed_v3.dszc pins — a delta container's whole contract is that it
 // reproduces its target container's decoded arrays exactly.
 //
-// The fixtures are written by tools/make_golden_fixtures.cpp; regenerate
-// them (and these constants, from the tool's output) only for a deliberate,
-// versioned format change.
+// delta_base_v3.dszc is reproduced by tools/make_golden_fixtures.cpp byte
+// for byte; change it (and these constants, from the tool's output) only
+// for a deliberate, versioned format change. delta_v3.dszc is frozen: it
+// carries an sz residual where today's delta encoder writes `zero`, so the
+// tool no longer writes it and it never changes (see
+// docs/container_format.md).
 #include <gtest/gtest.h>
 
 #include <cstdio>

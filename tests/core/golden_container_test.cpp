@@ -3,9 +3,9 @@
 // wire format (or a codec's decode path) changed behavior for existing
 // files — that is a breaking release, not a refactor.
 //
-// The fixtures are written by tools/make_golden_fixtures.cpp; regenerate
-// them (and these constants, from the tool's output) only for a deliberate,
-// versioned format change.
+// Both fixtures are frozen: no encoder writes the indexless v2 container or
+// sz-v1 streams any more, so tools/make_golden_fixtures.cpp cannot
+// regenerate them and they never change (see docs/container_format.md).
 #include <gtest/gtest.h>
 
 #include <cstdio>

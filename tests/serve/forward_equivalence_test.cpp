@@ -266,7 +266,6 @@ TEST(ForwardEquivalence, SchedulerBatchedPathMatchesReferenceSession) {
   repo.load("dc", bytes);
   server::SchedulerOptions sopts;
   sopts.max_batch = 8;
-  sopts.max_delay_us = 200;
   server::RequestScheduler sched(repo, sopts);
 
   const auto cols = c.dims[0];

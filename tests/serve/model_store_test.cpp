@@ -144,7 +144,9 @@ class CountingCodec : public codec::ByteCodec {
   std::string name() const override { return "countdec-store"; }
   std::vector<std::uint8_t> encode(
       std::span<const std::uint8_t> data) const override {
-    std::vector<std::uint8_t> out = {0xCE};
+    std::vector<std::uint8_t> out;
+    out.reserve(data.size() + 1);
+    out.push_back(0xCE);
     out.insert(out.end(), data.begin(), data.end());
     return out;
   }

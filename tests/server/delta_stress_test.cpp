@@ -64,7 +64,6 @@ TEST(DeltaStress, EightThreadsVsDeltaRolloutChain) {
   repo.load("prod", base_bytes);
   SchedulerOptions opts;
   opts.max_batch = 8;
-  opts.max_delay_us = 200;
   opts.queue_capacity = 1024;
   opts.workers_per_model = 2;
   ServerMetrics metrics;

@@ -1,17 +1,23 @@
 // Server route table over LoopbackTransport (deterministic, no sockets),
-// plus one real-socket round trip through HttpFrontEnd.
+// plus real-socket tests of HttpFrontEnd: a round trip, restart, and the
+// header deadline that closes slow clients.
 #include "server/server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tests/server/test_containers.h"
@@ -201,8 +207,7 @@ TEST_F(ServerRoutesTest, HandlerConvertsExceptionsTo500) {
 // Real socket round trip
 // ---------------------------------------------------------------------------
 
-/// Minimal blocking HTTP client for the socket test.
-std::string raw_round_trip(int port, const std::string& request) {
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -210,6 +215,12 @@ std::string raw_round_trip(int port, const std::string& request) {
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+/// Minimal blocking HTTP client for the socket test.
+std::string raw_round_trip(int port, const std::string& request) {
+  const int fd = connect_loopback(port);
   EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
   ::shutdown(fd, SHUT_WR);
@@ -249,6 +260,66 @@ TEST(HttpFrontEnd, ServesOverRealSocket) {
                      "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
           .find("200"),
       std::string::npos);
+  front.stop();
+}
+
+/// Sends a never-ending header block one byte every `interval_ms` and
+/// returns the milliseconds until the server closed the connection, or
+/// `give_up_ms` if it was still open then.
+double trickle_until_closed(int port, int interval_ms, int give_up_ms) {
+  using Clock = std::chrono::steady_clock;
+  const int fd = connect_loopback(port);
+  const auto start = Clock::now();
+  const auto elapsed_ms = [&] {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+  const std::string head = "GET /healthz HTTP/1.1\r\nX-Slow: ";
+  for (std::size_t i = 0; elapsed_ms() < give_up_ms; ++i) {
+    const char c = i < head.size() ? head[i] : 'a';
+    if (::send(fd, &c, 1, MSG_NOSIGNAL) != 1) break;
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, interval_ms) > 0) {
+      char buf[256];
+      if (::recv(fd, buf, sizeof buf, 0) <= 0) break;  // closed by the server
+    }
+  }
+  const double ms = std::min(elapsed_ms(), static_cast<double>(give_up_ms));
+  ::close(fd);
+  return ms;
+}
+
+TEST(HttpFrontEnd, TricklingHeadersCannotHoldConnectionSlots) {
+  // Two clients fill both connection slots and send a header byte every
+  // 100 ms, well inside the 300 ms per-recv timeout, without ever finishing
+  // the header block. The header deadline must close both within about
+  // twice the timeout, and the freed slots must serve a normal request.
+  Server server;
+  HttpFrontEnd::Options opts;
+  opts.port = 0;
+  opts.max_connections = 2;
+  opts.idle_timeout_ms = 300;
+  HttpFrontEnd front(server.handler(), opts);
+  front.start();
+
+  const int port = front.port();
+  auto a =
+      std::async(std::launch::async, trickle_until_closed, port, 100, 3000);
+  auto b =
+      std::async(std::launch::async, trickle_until_closed, port, 100, 3000);
+  EXPECT_LT(a.get(), 2.0 * opts.idle_timeout_ms);
+  EXPECT_LT(b.get(), 2.0 * opts.idle_timeout_ms);
+
+  // A closed connection's slot is reclaimed when its thread finishes, just
+  // after the close the client saw; until then a new connection may get 503.
+  std::string reply;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    reply =
+        raw_round_trip(port, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    if (reply.find("503") == std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
   front.stop();
 }
 

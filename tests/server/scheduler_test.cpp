@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "codec/registry.h"
 #include "serve/inference_session.h"
 #include "server/metrics.h"
 #include "tests/server/test_containers.h"
@@ -18,11 +21,110 @@ namespace {
 
 using testing::tiny_container;
 
-InferRequest one_row(std::int64_t features, float fill = 0.5f) {
+InferRequest rows_of(std::int64_t rows, std::int64_t features,
+                     float fill = 0.5f) {
   InferRequest r;
-  r.rows = 1;
-  r.input.assign(static_cast<std::size_t>(features), fill);
+  r.rows = rows;
+  r.input.assign(static_cast<std::size_t>(rows * features), fill);
   return r;
+}
+
+InferRequest one_row(std::int64_t features, float fill = 0.5f) {
+  return rows_of(1, features, fill);
+}
+
+/// Identity byte codec whose decode parks while the gate is armed. A test
+/// arms the gate, submits a request whose cold decode then holds the only
+/// worker, queues more requests behind it, and opens the gate: what the
+/// worker takes next is exactly what queued, with no timing window.
+class GatedCodec : public codec::ByteCodec {
+ public:
+  static void arm() {
+    std::lock_guard<std::mutex> lock(gate().mu);
+    gate().armed = true;
+  }
+  /// Waits until a decode is parked on the armed gate.
+  static bool wait_parked() {
+    Gate& g = gate();
+    std::unique_lock<std::mutex> lock(g.mu);
+    return g.cv.wait_for(lock, std::chrono::seconds(30),
+                         [&] { return g.parked > 0; });
+  }
+  static void open() {
+    {
+      std::lock_guard<std::mutex> lock(gate().mu);
+      gate().armed = false;
+    }
+    gate().cv.notify_all();
+  }
+
+  std::string name() const override { return "gated-sched"; }
+  std::vector<std::uint8_t> encode(
+      std::span<const std::uint8_t> data) const override {
+    std::vector<std::uint8_t> out;
+    out.reserve(data.size() + 1);
+    out.push_back(0xCF);
+    out.insert(out.end(), data.begin(), data.end());
+    return out;
+  }
+  std::vector<std::uint8_t> decode(
+      std::span<const std::uint8_t> frame) const override {
+    if (frame.empty() || frame[0] != 0xCF) {
+      throw std::runtime_error("gated-sched: bad frame");
+    }
+    {
+      Gate& g = gate();
+      std::unique_lock<std::mutex> lock(g.mu);
+      ++g.parked;
+      g.cv.notify_all();
+      g.cv.wait(lock, [&] { return !g.armed; });
+      --g.parked;
+    }
+    return std::vector<std::uint8_t>(frame.begin() + 1, frame.end());
+  }
+
+ private:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool armed = false;  // guarded by mu
+    int parked = 0;      // decodes waiting on the gate; guarded by mu
+  };
+  static Gate& gate() {
+    static Gate g;
+    return g;
+  }
+};
+
+/// The stock tiny stack (32 -> 24 -> 16) with GatedCodec index streams.
+std::vector<std::uint8_t> gated_container() {
+  auto& reg = codec::CodecRegistry::instance();
+  if (!reg.has_byte("gated-sched")) {
+    codec::CodecInfo info;
+    info.name = "gated-sched";
+    info.summary = "identity codec whose decode waits on a gate (tests)";
+    reg.register_byte(info, [](const codec::Options& opts) {
+      opts.check_known({});
+      return std::make_shared<GatedCodec>();
+    });
+  }
+  std::vector<sparse::PrunedLayer> layers;
+  layers.push_back(data::synthesize_pruned_layer("fc1", 24, 32, 0.2, 7));
+  layers.push_back(data::synthesize_pruned_layer("fc2", 16, 24, 0.2, 8));
+  core::ContainerOptions copts;
+  copts.index_codec = "gated-sched";
+  return core::encode_model(layers, {}, copts).bytes;
+}
+
+/// Submits `first` to a one-worker scheduler and waits until its batch is
+/// parked in the cold decode, so every later submit queues behind it until
+/// GatedCodec::open().
+std::future<InferResult> park_worker(RequestScheduler& sched,
+                                     InferRequest first) {
+  GatedCodec::arm();
+  auto f = sched.submit("m", std::move(first));
+  EXPECT_TRUE(GatedCodec::wait_parked()) << "first batch never decoded";
+  return f;
 }
 
 TEST(RequestScheduler, RejectsBadOptions) {
@@ -104,33 +206,32 @@ TEST(RequestScheduler, MultiRowRequestRoundTrips) {
 }
 
 TEST(RequestScheduler, CoalescesConcurrentRequestsIntoBatches) {
+  // Eight one-row requests queue while the only worker is busy with the
+  // first; once it frees up it takes all eight into one batch at once.
   ModelRepository repo;
-  repo.load("m", tiny_container());
+  repo.load("m", gated_container());
   SchedulerOptions opts;
   opts.max_batch = 8;
-  opts.max_delay_us = 20000;  // generous window so the batch forms reliably
-  opts.workers_per_model = 1; // single worker => one gather loop
+  opts.workers_per_model = 1;
   ServerMetrics metrics;
   RequestScheduler sched(repo, opts, &metrics);
 
-  sched.infer("m", one_row(32));  // warm the worker's session first
-
+  auto first = park_worker(sched, one_row(32));
   std::vector<std::future<InferResult>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(sched.submit("m", one_row(32)));
   }
-  std::int64_t max_batch_rows = 0;
+  GatedCodec::open();
+
+  EXPECT_EQ(first.get().batch_rows, 1);
   for (auto& f : futures) {
     auto r = f.get();
     ASSERT_EQ(r.status, InferStatus::kOk);
-    max_batch_rows = std::max(max_batch_rows, r.batch_rows);
+    EXPECT_EQ(r.batch_rows, 8);
   }
-  EXPECT_GT(max_batch_rows, 1) << "no coalescing happened";
-  EXPECT_LE(max_batch_rows, opts.max_batch);
-
   const auto snap = metrics.snapshot();
   EXPECT_EQ(snap.ok, 9u);
-  EXPECT_LT(snap.batches, 9u) << "every request ran alone";
+  EXPECT_EQ(snap.batches, 2u);
   EXPECT_EQ(snap.batched_rows, 9u);
 }
 
@@ -139,7 +240,6 @@ TEST(RequestScheduler, ShedsWhenQueueFull) {
   repo.load("m", tiny_container());
   SchedulerOptions opts;
   opts.max_batch = 1;
-  opts.max_delay_us = 0;
   opts.queue_capacity = 2;
   opts.workers_per_model = 1;
   ServerMetrics metrics;
@@ -244,35 +344,32 @@ TEST(RequestScheduler, ForgetTearsDownAndRecreatesQueues) {
 }
 
 TEST(RequestScheduler, MultiRowGatherFillsByRows) {
-  // Four 4-row requests against max_batch=16 with a long linger: the
-  // rows-based wake predicate must close the batch as soon as 16 rows are
-  // queued, not sleep out the window because only 4 REQUESTS arrived.
+  // Five 4-row requests queued behind a busy worker, max_batch=16: the
+  // gather counts rows, not requests, so the first four fill one 16-row
+  // batch and the fifth, which no longer fits, runs in the next.
   ModelRepository repo;
-  repo.load("m", tiny_container());
+  repo.load("m", gated_container());
   SchedulerOptions opts;
   opts.max_batch = 16;
-  opts.max_delay_us = 500000;  // would add 0.5 s per batch if we waited it out
   opts.workers_per_model = 1;
-  RequestScheduler sched(repo, opts);
+  ServerMetrics metrics;
+  RequestScheduler sched(repo, opts, &metrics);
 
-  sched.infer("m", one_row(32));  // warm the worker
-
-  auto four_rows = [] {
-    InferRequest r;
-    r.rows = 4;
-    r.input.assign(4 * 32, 0.25f);
-    return r;
-  };
+  auto first = park_worker(sched, one_row(32));
   std::vector<std::future<InferResult>> futures;
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 4; ++i) futures.push_back(sched.submit("m", four_rows()));
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, InferStatus::kOk);
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(sched.submit("m", rows_of(4, 32)));
   }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  EXPECT_LT(ms, 400.0) << "gather slept out the linger window";
+  GatedCodec::open();
+
+  EXPECT_EQ(first.get().status, InferStatus::kOk);
+  for (int i = 0; i < 5; ++i) {
+    auto r = futures[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(r.status, InferStatus::kOk);
+    EXPECT_EQ(r.rows, 4);
+    EXPECT_EQ(r.batch_rows, i < 4 ? 16 : 4) << "request " << i;
+  }
+  EXPECT_EQ(metrics.snapshot().batches, 3u);
 }
 
 TEST(RequestScheduler, QueueDepthReporting) {

@@ -24,7 +24,6 @@ TEST(ServerStress, EightThreadsVsHotSwapReload) {
   repo.load("other", tiny_container(2));  // cross-model budget pressure
   SchedulerOptions opts;
   opts.max_batch = 8;
-  opts.max_delay_us = 200;
   opts.queue_capacity = 1024;  // large: this test measures safety, not shed
   opts.workers_per_model = 2;
   ServerMetrics metrics;
@@ -101,7 +100,6 @@ TEST(ServerStress, CodebookModelVsHotSwapReload) {
   repo.load("dc", testing::tiny_dc_container(1));
   SchedulerOptions opts;
   opts.max_batch = 8;
-  opts.max_delay_us = 200;
   opts.queue_capacity = 1024;
   opts.workers_per_model = 2;
   ServerMetrics metrics;

@@ -5,11 +5,12 @@
 // decode-path behavior change for existing files — a breaking release, not
 // a refactor.
 //
-// The fixtures are written by tools/make_golden_fixtures.cpp (with
-// DEEPSZ_NO_AVX2=1 so encoding is host-independent); regenerate them and
-// these constants only for a deliberate, versioned format change. The CI
-// sanitizer job runs this suite explicitly so the frozen v1 parser stays
-// ASan/UBSan-clean too.
+// sz_v2.szs is reproduced by tools/make_golden_fixtures.cpp (with
+// DEEPSZ_NO_AVX2=1 so encoding is host-independent); change it and its
+// constants only for a deliberate, versioned format change. sz_v1.szs is
+// frozen: the v1 encoder is gone, so no tool writes it and it never changes
+// (see docs/container_format.md). The CI sanitizer job runs this suite
+// explicitly so the frozen v1 parser stays ASan/UBSan-clean too.
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -152,7 +152,7 @@ constexpr Subcommand kSubcommands[] = {
     {"serve",
      "--model name=path [--model name=path ...] [--port 8080]\n"
      "        [--cache-bytes B | --cache-mb 256] [--max-batch 16]\n"
-     "        [--max-delay-us 2000] [--queue-cap 256] [--workers 2]\n"
+     "        [--queue-cap 256] [--workers 2]\n"
      "        [--trace-file out.json] [--no-trace]",
      "multi-model HTTP serving daemon (POST /v1/models/<name>:infer)"},
     {"trace", "<model.dszc> <out.json> [requests=4] [rows=2]",
@@ -966,9 +966,6 @@ int run_serve(int argc, char** argv) {
     } else if (arg == "--max-batch") {
       opts.scheduler.max_batch =
           static_cast<std::int64_t>(parse_double(next(), "max-batch"));
-    } else if (arg == "--max-delay-us") {
-      opts.scheduler.max_delay_us =
-          static_cast<std::int64_t>(parse_double(next(), "max-delay-us"));
     } else if (arg == "--queue-cap") {
       opts.scheduler.queue_capacity =
           static_cast<std::size_t>(parse_double(next(), "queue-cap"));
