@@ -4,9 +4,9 @@
 // two-model repository (closed loop), first with micro-batching disabled
 // (max_batch=1) and then enabled — the headline number is the batched/
 // unbatched QPS ratio, the serving-side analogue of the paper's batched
-// forward passes. Latency tails come from the util::Histogram the server
-// metrics use, so the bench exercises the same measurement path as
-// `GET /metrics`.
+// forward passes. Latency tails are each client's submit-to-result time in
+// its own util::Histogram, which includes the client's wake-up; they are not
+// the server-side `request` stage that `GET /metrics` reports.
 //
 //   bench_server_throughput [model.dszc] [clients=16] [requests-per-client=400]
 //                           [max-batch=16]

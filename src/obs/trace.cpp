@@ -164,7 +164,7 @@ struct StageKey {
   }
 };
 
-/// (stage, model) -> histogram. 1 µs .. ~1.7 min at 2x resolution.
+/// (stage, model) -> histogram, each with stage_buckets().
 struct StageMap {
   util::Mutex mu;
   std::map<StageKey, util::Histogram> hists DEEPSZ_GUARDED_BY(mu);
@@ -173,10 +173,6 @@ struct StageMap {
 StageMap& stage_map() {
   static StageMap* m = new StageMap;
   return *m;
-}
-
-util::Histogram stage_buckets() {
-  return util::Histogram::exponential(0.001, 2.0, 27);
 }
 
 std::shared_ptr<ThreadRing> acquire_ring() {
@@ -226,6 +222,10 @@ thread_local char t_stage_model[kArgBytes] = {};
 }  // namespace
 
 std::uint64_t now_ns() { return ns_between(g_epoch, SteadyClock::now()); }
+
+util::Histogram stage_buckets() {
+  return util::Histogram::exponential(0.001, 1.6, 40);
+}
 
 std::uint64_t to_trace_ns(SteadyClock::time_point tp) {
   return ns_between(g_epoch, tp);

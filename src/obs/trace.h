@@ -13,8 +13,9 @@
 // (a seqlock: a torn slot fails validation and is skipped, never returned).
 //
 // Alongside the rings, Tracer keeps per-(stage, model) latency histograms —
-// the aggregate view `/metrics` exports as deepsz_stage_ms{stage,model} —
-// fed by spans via TraceSpan::set_stage() whether or not tracing is on.
+// the aggregate view `/metrics` exports as deepsz_stage_ms{stage,model}, and
+// the only source of its serving timing families — fed by spans via
+// TraceSpan::set_stage() (or record_stage()) whether or not tracing is on.
 // Span durations live in the ring for a bounded window; stage histograms
 // accumulate forever.
 //
@@ -69,6 +70,11 @@ struct StageTimes {
 /// Nanoseconds since process start on the steady clock — the time base of
 /// every trace event (it also backs the /metrics uptime gauge).
 std::uint64_t now_ns();
+
+/// The bucket layout of every stage histogram, and so of every timing
+/// family /metrics renders: 0.001 ms .. ~0.001*1.6^39 ≈ 73 s at ~1.6x
+/// resolution, from loopback hits through multi-second cold decodes.
+util::Histogram stage_buckets();
 
 /// A steady_clock time_point on the trace time base, for spans whose start
 /// was captured before the emitting code runs (queue waits).

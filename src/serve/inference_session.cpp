@@ -95,10 +95,7 @@ nn::Tensor InferenceSession::infer(const nn::Tensor& batch) {
     // A store built without build_csr serves dense-only layers; fall through
     // to the generic walk (the layers are installed and bound either way).
     if (csr_ok && (want_sparse || any_codebook)) {
-      nn::Tensor y = sparse_fc_forward(chain, batch);
-      ++stats_.requests;
-      stats_.samples += static_cast<std::uint64_t>(batch.dim(0));
-      return y;
+      return sparse_fc_forward(chain, batch);
     }
   }
 
@@ -121,8 +118,6 @@ nn::Tensor InferenceSession::infer(const nn::Tensor& batch) {
     }
     x = layer->forward(x, /*train=*/false);
   }
-  ++stats_.requests;
-  stats_.samples += static_cast<std::uint64_t>(batch.dim(0));
   return x;
 }
 

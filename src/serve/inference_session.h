@@ -25,8 +25,6 @@ namespace deepsz::serve {
 
 /// Per-session counters.
 struct SessionStats {
-  std::uint64_t requests = 0;
-  std::uint64_t samples = 0;         // total batch rows served
   std::uint64_t layer_installs = 0;  // store fetches + weight binds
 };
 

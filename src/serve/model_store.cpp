@@ -202,7 +202,7 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
 }
 
 std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
-    std::size_t entry_index, sparse::PrunedLayer sparse_layer) {
+    std::size_t entry_index, const sparse::PrunedLayer& sparse_layer) {
   auto served = std::make_shared<ServedLayer>();
   core::DecodePhaseSpan reconstruct("reconstruct", sparse_layer.name);
   served->name = sparse_layer.name;
@@ -245,7 +245,6 @@ std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
   served->bias = reader_.decode_bias(entry_index);
   served->form = served->has_csr() ? ServingForm::kSparseCsr
                                    : ServingForm::kDenseF32;
-  if (options_.keep_sparse) served->sparse = std::move(sparse_layer);
   return served;
 }
 

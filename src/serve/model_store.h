@@ -39,9 +39,6 @@ struct ModelStoreOptions {
   /// Cache budget over ServedLayer::bytes(). Layers larger than the whole
   /// budget are still served (decoded, returned, dropped immediately).
   std::size_t cache_budget_bytes = 256ull << 20;
-  /// Keep the sparse (data/index) arrays alongside the dense matrix. Off by
-  /// default: serving only needs the dense form.
-  bool keep_sparse = false;
   /// Build each layer's CSR view at decode time (ServedLayer::csr_*), the
   /// input of serve::sparse_fc_forward. Off by default — it costs ~8 bytes
   /// per surviving weight of cache footprint — and turned on by the serving
@@ -120,7 +117,6 @@ struct ServedLayer {
     }
     return csr_val[nz];
   }
-  sparse::PrunedLayer sparse;       // populated iff keep_sparse
 
   std::size_t nnz() const { return csr_col.size(); }
   double density() const {
@@ -134,9 +130,7 @@ struct ServedLayer {
            csr_col.size() * sizeof(std::uint32_t) +
            csr_val.size() * sizeof(float) +
            codebook.size() * sizeof(float) + csr_id8.size() +
-           csr_id16.size() * sizeof(std::uint16_t) +
-           sparse.data.size() * sizeof(float) + sparse.index.size() +
-           name.size();
+           csr_id16.size() * sizeof(std::uint16_t) + name.size();
   }
 };
 
@@ -224,7 +218,7 @@ class ModelStore {
   std::shared_ptr<const ServedLayer> decode_delta_now(std::size_t entry_index)
       DEEPSZ_EXCLUDES(mu_);
   std::shared_ptr<const ServedLayer> make_served_dense(
-      std::size_t entry_index, sparse::PrunedLayer sparse_layer)
+      std::size_t entry_index, const sparse::PrunedLayer& sparse_layer)
       DEEPSZ_EXCLUDES(mu_);
   void insert_and_evict_locked(const std::string& name,
                                std::shared_ptr<const ServedLayer> layer)

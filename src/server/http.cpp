@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -154,6 +155,33 @@ bool write_response(int fd, const HttpResponse& r, bool keep_alive) {
 /// Outcome of reading one request off a connection.
 enum class ReadOutcome { kRequest, kClosed, kBadRequest, kTooLarge };
 
+/// The slowest rate a request body may arrive at: its deadline is
+/// idle_timeout_ms plus Content-Length at this rate, so a 64 MB load fits
+/// over a slow link but a trickled body cannot hold its connection slot.
+constexpr std::uint64_t kMinBodyBytesPerSec = 64 * 1024;
+
+/// Appends whatever `fd` has next to `buffer`, waiting no later than
+/// `deadline_ns` (trace time base). False when the peer closed, the read
+/// failed, or the deadline passed first.
+bool recv_some(int fd, std::string& buffer, std::uint64_t deadline_ns) {
+  for (;;) {
+    const std::uint64_t now_ns = obs::now_ns();
+    if (now_ns >= deadline_ns) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    const std::uint64_t wait_ms = (deadline_ns - now_ns + 999999u) / 1000000u;
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>(std::min<std::uint64_t>(wait_ms, INT_MAX)));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return false;  // deadline passed
+    char chunk[8192];
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;  // closed, timeout or shutdown
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  }
+}
+
 /// Reads one full request (header block + Content-Length body) from `fd`
 /// into `out`, consuming from/refilling `buffer`. On kBadRequest/kTooLarge
 /// the caller responds and closes; on kClosed the peer went away cleanly.
@@ -163,9 +191,9 @@ ReadOutcome read_request(int fd, std::string& buffer, HttpRequest& out,
   // 1. Accumulate the header block. SO_RCVTIMEO bounds each recv; this
   // deadline bounds the whole block, so a client trickling one byte per
   // timeout cannot hold its connection slot forever.
-  const std::uint64_t deadline_ns =
-      obs::now_ns() +
+  const std::uint64_t idle_ns =
       static_cast<std::uint64_t>(options.idle_timeout_ms) * 1000000u;
+  const std::uint64_t header_deadline_ns = obs::now_ns() + idle_ns;
   std::size_t header_end;
   while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
     if (buffer.size() > options.max_header_bytes) {
@@ -173,21 +201,7 @@ ReadOutcome read_request(int fd, std::string& buffer, HttpRequest& out,
                std::to_string(options.max_header_bytes) + " bytes";
       return ReadOutcome::kTooLarge;
     }
-    const std::uint64_t now_ns = obs::now_ns();
-    if (now_ns >= deadline_ns) return ReadOutcome::kClosed;
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(
-        &pfd, 1, static_cast<int>((deadline_ns - now_ns + 999999u) / 1000000u));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) return ReadOutcome::kClosed;  // deadline passed
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) return ReadOutcome::kClosed;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadOutcome::kClosed;  // timeout or shutdown
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    if (!recv_some(fd, buffer, header_deadline_ns)) return ReadOutcome::kClosed;
   }
 
   // 2. Request line.
@@ -245,16 +259,13 @@ ReadOutcome read_request(int fd, std::string& buffer, HttpRequest& out,
     return ReadOutcome::kTooLarge;
   }
 
+  // The body's own deadline scales with its declared length.
   buffer.erase(0, header_end + 4);
+  const std::uint64_t body_deadline_ns =
+      obs::now_ns() + idle_ns +
+      content_length * (1000000000u / kMinBodyBytesPerSec);
   while (buffer.size() < content_length) {
-    char chunk[8192];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) return ReadOutcome::kClosed;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadOutcome::kClosed;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    if (!recv_some(fd, buffer, body_deadline_ns)) return ReadOutcome::kClosed;
   }
   out.body.assign(buffer.begin(),
                   buffer.begin() + static_cast<std::ptrdiff_t>(content_length));

@@ -1,10 +1,12 @@
-// Serving-side observability: lock-cheap counters plus fixed-bucket
-// histograms, snapshotable at any time.
+// Serving-side counters: request outcomes, batches and the queue-depth
+// gauge, snapshotable at any time.
 //
-// Counters are relaxed atomics (one fetch_add per event); the two histograms
-// share one mutex that is held only for the O(log #buckets) record. The
-// /metrics endpoint and bench_server_throughput read a consistent-enough
-// Snapshot without stopping the world.
+// Counters are relaxed atomics (one fetch_add per event); the rows-per-batch
+// histogram takes one mutex, held only for the O(log #buckets) record. The
+// /metrics endpoint reads a consistent-enough Snapshot without stopping the
+// world. ServerMetrics records no duration: every serving timing /metrics
+// reports comes from obs::Tracer's stage histograms ("request", "queue",
+// "queue_rejected", "forward").
 #pragma once
 
 #include <atomic>
@@ -20,19 +22,11 @@ class ServerMetrics {
  public:
   ServerMetrics();
 
-  /// One terminal request outcome; `latency_ms` is admission-to-completion
-  /// (recorded into the latency histogram for kOk only, so shed requests do
-  /// not fake a fast tail). `queue_ms` >= 0 is the admission-to-batch wait:
-  /// it feeds the ok queue-wait histogram for kOk and the rejected one for
-  /// shed / deadline-expired outcomes — without the rejected histogram,
-  /// load-shedding tuning only ever sees the survivors' waits.
-  void record_result(InferStatus status, double latency_ms,
-                     double queue_ms = -1.0);
+  /// One terminal request outcome.
+  void record_result(InferStatus status);
 
-  /// One batched forward pass of `rows` coalesced rows. `forward_ms` also
-  /// feeds the execute-time histogram (the other half of the
-  /// queue-wait-vs-execute split).
-  void record_batch(std::int64_t rows, double forward_ms);
+  /// One batched forward pass of `rows` coalesced rows.
+  void record_batch(std::int64_t rows);
 
   /// Queue depth gauge, maintained by the scheduler.
   void on_enqueue() { queue_depth_.fetch_add(1, std::memory_order_relaxed); }
@@ -52,11 +46,7 @@ class ServerMetrics {
     std::uint64_t batches = 0;
     std::uint64_t batched_rows = 0;
     std::int64_t queue_depth = 0;
-    util::Histogram latency_ms;         // per-request, kOk only
-    util::Histogram batch_rows_hist;    // rows per executed batch
-    util::Histogram queue_ok_ms;        // queue wait, served requests
-    util::Histogram queue_rejected_ms;  // queue wait, shed/deadline-expired
-    util::Histogram execute_ms;         // forward time per executed batch
+    util::Histogram batch_rows_hist;  // rows per executed batch
 
     double mean_batch_rows() const {
       return batches ? static_cast<double>(batched_rows) /
@@ -66,7 +56,6 @@ class ServerMetrics {
   };
 
   Snapshot snapshot() const;
-  void reset();
 
  private:
   std::atomic<std::uint64_t> ok_{0}, not_found_{0}, invalid_input_{0},
@@ -75,11 +64,7 @@ class ServerMetrics {
   std::atomic<std::int64_t> queue_depth_{0};
 
   mutable util::Mutex hist_mu_;
-  util::Histogram latency_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
   util::Histogram batch_rows_ DEEPSZ_GUARDED_BY(hist_mu_);
-  util::Histogram queue_ok_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
-  util::Histogram queue_rejected_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
-  util::Histogram execute_ms_ DEEPSZ_GUARDED_BY(hist_mu_);
 };
 
 }  // namespace deepsz::server

@@ -43,7 +43,6 @@ struct InferResult {
   std::vector<float> output;   // rows x cols logits (kOk only)
   std::int64_t rows = 0;
   std::int64_t cols = 0;
-  double queue_ms = 0.0;       // admission -> batch start
   std::int64_t batch_rows = 0; // total rows of that batch (batching evidence)
 
   bool ok() const { return status == InferStatus::kOk; }

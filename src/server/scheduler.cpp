@@ -12,10 +12,6 @@ namespace deepsz::server {
 using Clock = std::chrono::steady_clock;
 
 namespace {
-double ms_since(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 InferResult fail(InferStatus status, std::string why) {
   InferResult r;
   r.status = status;
@@ -76,7 +72,7 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
 
   auto snapshot = repo_.get(model);
   if (snapshot == nullptr) {
-    if (metrics_) metrics_->record_result(InferStatus::kNotFound, 0.0);
+    if (metrics_) metrics_->record_result(InferStatus::kNotFound);
     ready.set_value(fail(InferStatus::kNotFound,
                          "no model \"" + model + "\" loaded"));
     return fut;
@@ -84,7 +80,7 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
   if (req.rows < 1 ||
       req.input.size() != static_cast<std::size_t>(req.rows) *
                               static_cast<std::size_t>(snapshot->in_features)) {
-    if (metrics_) metrics_->record_result(InferStatus::kInvalidInput, 0.0);
+    if (metrics_) metrics_->record_result(InferStatus::kInvalidInput);
     ready.set_value(fail(
         InferStatus::kInvalidInput,
         "expected rows x " + std::to_string(snapshot->in_features) +
@@ -101,7 +97,7 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
   {
     util::MutexLock map_lock(map_mu_);
     if (shutdown_) {
-      if (metrics_) metrics_->record_result(InferStatus::kShuttingDown, 0.0);
+      if (metrics_) metrics_->record_result(InferStatus::kShuttingDown);
       ready.set_value(fail(InferStatus::kShuttingDown, "server shutting down"));
       return fut;
     }
@@ -109,7 +105,7 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
       // The model was unloaded (and its queue forgotten) between the check
       // above and here: creating a fresh queue now would resurrect idle
       // worker threads for a dead name.
-      if (metrics_) metrics_->record_result(InferStatus::kNotFound, 0.0);
+      if (metrics_) metrics_->record_result(InferStatus::kNotFound);
       ready.set_value(fail(InferStatus::kNotFound,
                            "no model \"" + model + "\" loaded"));
       return fut;
@@ -119,9 +115,8 @@ std::future<InferResult> RequestScheduler::submit(const std::string& model,
     if (mq.q.size() >= options_.queue_capacity) {
       // Shed at admission: the queue wait is genuinely zero, and recording
       // it keeps the rejected-wait histogram honest about admission sheds.
-      if (metrics_) {
-        metrics_->record_result(InferStatus::kOverloaded, 0.0, 0.0);
-      }
+      obs::Tracer::record_stage("queue_rejected", model, 0.0);
+      if (metrics_) metrics_->record_result(InferStatus::kOverloaded);
       ready.set_value(fail(InferStatus::kOverloaded,
                            "queue full (" +
                                std::to_string(options_.queue_capacity) +
@@ -188,29 +183,35 @@ void RequestScheduler::worker_loop(std::string name, ModelQueue& mq) {
   }
 }
 
-void RequestScheduler::finish(Pending& p, InferResult result) {
-  if (metrics_) {
+/// A served request's admission-to-completion time feeds the "request"
+/// stage; failures do not, so shed requests cannot fake a fast tail.
+void RequestScheduler::finish(const std::string& name, Pending& p,
+                              InferResult result) {
+  if (result.ok()) {
     const std::uint64_t latency_ns =
         obs::now_ns() - obs::to_trace_ns(p.enqueued);
-    metrics_->record_result(result.status,
-                            static_cast<double>(latency_ns) / 1e6,
-                            result.queue_ms);
+    obs::Tracer::record_stage("request", name,
+                              static_cast<double>(latency_ns) / 1e6);
   }
+  if (metrics_) metrics_->record_result(result.status);
   p.promise.set_value(std::move(result));
 }
 
 /// One "queue" span per request that reached a batch: admission to batch
-/// start, phase "ok" or "expired". The stage histogram records it whether
-/// or not tracing is on.
+/// start, phase "ok" or "expired". Its duration feeds stage "queue" for a
+/// served request and "queue_rejected" for an expired one, whether or not
+/// tracing is on.
 void RequestScheduler::trace_queue_wait(const std::string& name,
                                         const Pending& p,
                                         Clock::time_point batch_start,
-                                        const char* outcome) {
+                                        bool served) {
   const std::uint64_t t0 = obs::to_trace_ns(p.enqueued);
   const std::uint64_t t1 = obs::to_trace_ns(batch_start);
   const std::uint64_t dur = t1 > t0 ? t1 - t0 : 0;
-  obs::Tracer::emit("queue", "server", name, outcome, t0, dur);
-  obs::Tracer::record_stage("queue", name, static_cast<double>(dur) / 1e6);
+  obs::Tracer::emit("queue", "server", name, served ? "ok" : "expired", t0,
+                    dur);
+  obs::Tracer::record_stage(served ? "queue" : "queue_rejected", name,
+                            static_cast<double>(dur) / 1e6);
 }
 
 void RequestScheduler::execute_batch(const std::string& name,
@@ -226,10 +227,8 @@ void RequestScheduler::execute_batch(const std::string& name,
   live.reserve(batch.size());
   for (auto& p : batch) {
     if (p.req.has_deadline() && p.req.deadline < start) {
-      trace_queue_wait(name, p, start, "expired");
-      InferResult r = fail(InferStatus::kDeadlineExceeded, "deadline expired");
-      r.queue_ms = ms_since(p.enqueued, start);
-      finish(p, std::move(r));
+      trace_queue_wait(name, p, start, /*served=*/false);
+      finish(name, p, fail(InferStatus::kDeadlineExceeded, "deadline expired"));
     } else {
       live.push_back(std::move(p));
     }
@@ -239,8 +238,9 @@ void RequestScheduler::execute_batch(const std::string& name,
   auto model = repo_.get(name);
   if (model == nullptr) {
     for (auto& p : live) {
-      finish(p, fail(InferStatus::kNotFound,
-                     "model \"" + name + "\" was unloaded"));
+      finish(name, p,
+             fail(InferStatus::kNotFound,
+                  "model \"" + name + "\" was unloaded"));
     }
     return;
   }
@@ -253,10 +253,11 @@ void RequestScheduler::execute_batch(const std::string& name,
   for (auto& p : live) {
     if (p.req.input.size() != static_cast<std::size_t>(p.req.rows) *
                                   static_cast<std::size_t>(model->in_features)) {
-      finish(p, fail(InferStatus::kInvalidInput,
-                     "model \"" + name + "\" input width changed to " +
-                         std::to_string(model->in_features) +
-                         " while the request was queued"));
+      finish(name, p,
+             fail(InferStatus::kInvalidInput,
+                  "model \"" + name + "\" input width changed to " +
+                      std::to_string(model->in_features) +
+                      " while the request was queued"));
     } else {
       rows += p.req.rows;
       runnable.push_back(std::move(p));
@@ -275,15 +276,17 @@ void RequestScheduler::execute_batch(const std::string& name,
       dst += p.req.input.size();
     }
 
-    for (const auto& p : runnable) trace_queue_wait(name, p, start, "ok");
+    for (const auto& p : runnable) {
+      trace_queue_wait(name, p, start, /*served=*/true);
+    }
 
     obs::TraceSpan forward_span("forward", "server");
     forward_span.set_detail(name);
     forward_span.set_phase(std::to_string(rows) + "rows");
     forward_span.set_stage(name);
     nn::Tensor y = state.session->infer(x);
-    const double forward_ms = forward_span.close();
-    if (metrics_) metrics_->record_batch(rows, forward_ms);
+    forward_span.close();
+    if (metrics_) metrics_->record_batch(rows);
 
     const std::int64_t cols = y.dim(1);
     const float* src = y.data();
@@ -294,9 +297,8 @@ void RequestScheduler::execute_batch(const std::string& name,
       r.cols = cols;
       r.output.assign(src, src + p.req.rows * cols);
       src += p.req.rows * cols;
-      r.queue_ms = ms_since(p.enqueued, start);
       r.batch_rows = rows;
-      finish(p, std::move(r));
+      finish(name, p, std::move(r));
     }
   } catch (const std::exception& e) {
     // A corrupt layer or a mid-flight unload surfacing as a decode failure
@@ -306,7 +308,7 @@ void RequestScheduler::execute_batch(const std::string& name,
     state.net.reset();
     state.model.reset();
     for (auto& p : runnable) {
-      finish(p, fail(InferStatus::kInternalError, e.what()));
+      finish(name, p, fail(InferStatus::kInternalError, e.what()));
     }
   }
 }

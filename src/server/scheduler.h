@@ -105,10 +105,10 @@ class RequestScheduler {
       DEEPSZ_REQUIRES(mq.m);
   void execute_batch(const std::string& name, std::vector<Pending> batch,
                      WorkerState& state);
-  void finish(Pending& p, InferResult result);
+  void finish(const std::string& name, Pending& p, InferResult result);
   static void trace_queue_wait(const std::string& name, const Pending& p,
                                std::chrono::steady_clock::time_point batch_start,
-                               const char* outcome);
+                               bool served);
 
   ModelRepository& repo_;
   const SchedulerOptions options_;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -442,6 +443,17 @@ std::string Server::models_json() const {
 
 std::string Server::metrics_text() const {
   const auto s = metrics_.snapshot();
+  // Every serving timing comes from the process-wide stage histograms,
+  // merged across models.
+  const auto stages = obs::Tracer::stage_snapshot();
+  auto stage_hist = [&](std::string_view stage) {
+    util::Histogram h = obs::stage_buckets();
+    for (const auto& st : stages) {
+      if (st.stage == stage) h.merge(st.hist);
+    }
+    return h;
+  };
+  const util::Histogram forward = stage_hist("forward");
   std::ostringstream os;
   // Prometheus exposition groups every sample of a family after ONE
   // HELP/TYPE pair, so per-model families iterate models inside the family,
@@ -482,22 +494,22 @@ std::string Server::metrics_text() const {
   family("mean_batch_rows", "gauge", "Mean rows per executed batch.");
   os << "deepsz_mean_batch_rows " << s.mean_batch_rows() << "\n";
   family("forward_ms_total", "counter", "Cumulative batched forward time.");
-  os << "deepsz_forward_ms_total " << s.execute_ms.sum() << "\n";
+  os << "deepsz_forward_ms_total " << forward.sum() << "\n";
   family("request_latency_ms", "gauge",
          "Admission-to-completion latency quantiles, served requests only.");
-  quantiles("request_latency_ms", s.latency_ms);
+  quantiles("request_latency_ms", stage_hist("request"));
   family("batch_rows", "gauge", "Rows-per-batch quantiles.");
   quantiles("batch_rows", s.batch_rows_hist);
   // The queue-wait-vs-execute split: where does a served request's latency
   // go, and how long did shed/expired requests wait before rejection.
   family("queue_wait_ms", "gauge",
          "Admission-to-batch queue wait quantiles by outcome.");
-  quantiles("queue_wait_ms", s.queue_ok_ms, "outcome=\"ok\"");
-  quantiles("queue_wait_ms", s.queue_rejected_ms, "outcome=\"rejected\"");
+  quantiles("queue_wait_ms", stage_hist("queue"), "outcome=\"ok\"");
+  quantiles("queue_wait_ms", stage_hist("queue_rejected"),
+            "outcome=\"rejected\"");
   family("execute_ms", "gauge", "Forward-pass time quantiles per batch.");
-  quantiles("execute_ms", s.execute_ms);
+  quantiles("execute_ms", forward);
 
-  const auto stages = obs::Tracer::stage_snapshot();
   family("stage_ms", "gauge",
          "Per-stage latency quantiles from trace spans, by stage and model.");
   for (const auto& st : stages) {

@@ -41,11 +41,12 @@ double byte_entropy(std::span<const std::uint8_t> data);
 /// Shannon entropy in bits/symbol of an arbitrary symbol histogram.
 double histogram_entropy(std::span<const std::uint64_t> counts);
 
-/// Fixed-bucket histogram for latency/size distributions (ServerMetrics,
-/// bench_server_throughput). Bucket i covers [bounds[i-1], bounds[i]) with
-/// an implicit lower edge of 0; values >= bounds.back() land in an overflow
-/// bucket. Not thread-safe — callers that share one instance must lock, or
-/// keep per-thread histograms and merge().
+/// Fixed-bucket histogram for latency/size distributions (obs::Tracer's
+/// stage histograms, ServerMetrics' rows per batch, the benches). Bucket i
+/// covers [bounds[i-1], bounds[i]) with an implicit lower edge of 0; values
+/// >= bounds.back() land in an overflow bucket. Not thread-safe — callers
+/// that share one instance must lock, or keep per-thread histograms and
+/// merge().
 class Histogram {
  public:
   /// `upper_bounds` must be non-empty, strictly increasing, and positive.

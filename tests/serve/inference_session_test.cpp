@@ -82,10 +82,7 @@ TEST(InferenceSession, MatchesEagerlyDecodedNetworkBitExactly) {
       ASSERT_EQ(got[i], expect[i]) << "logit " << i;
     }
   }
-  auto stats = session.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.samples, 24u);
-  EXPECT_EQ(stats.layer_installs, 3u);  // one per served fc-layer, ever
+  EXPECT_EQ(session.stats().layer_installs, 3u);  // one per fc-layer, ever
 }
 
 TEST(InferenceSession, ConstructionDecodesNothing) {

@@ -445,16 +445,6 @@ TEST(ModelStore, NativeFormLeavesNonCodebookCodecsDense) {
   EXPECT_EQ(stats.form_resident(ServingForm::kCodebookCsr), 0u);
 }
 
-TEST(ModelStore, KeepSparseRetainsTwoArrayForm) {
-  auto layers = some_layers(1);
-  ModelStoreOptions opts;
-  opts.keep_sparse = true;
-  ModelStore store(encode(layers), opts);
-  auto served = store.get("fc6");
-  EXPECT_EQ(served->sparse.index, layers[0].index);
-  EXPECT_EQ(served->sparse.data.size(), layers[0].data.size());
-}
-
 TEST(ModelStore, DecodePhaseSpansNestInsideTheirDecodeSpan) {
   // Containers first: encoding a delta decodes both sides, outside any store.
   const auto base_layers = some_layers(2);

@@ -151,7 +151,6 @@ TEST(SparseForward, SessionOptInUsesSparsePathForLargeBatches) {
   }
   // Opted-in sessions still install (pin) every layer exactly once.
   EXPECT_EQ(sparse_session.stats().layer_installs, 3u);
-  EXPECT_EQ(sparse_session.stats().requests, 2u);
 }
 
 TEST(SparseForward, ProfitabilityGate) {

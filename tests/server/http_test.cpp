@@ -1,6 +1,6 @@
 // Server route table over LoopbackTransport (deterministic, no sockets),
 // plus real-socket tests of HttpFrontEnd: a round trip, restart, and the
-// header deadline that closes slow clients.
+// header and body deadlines that close slow clients.
 #include "server/server.h"
 
 #include <arpa/inet.h>
@@ -263,10 +263,11 @@ TEST(HttpFrontEnd, ServesOverRealSocket) {
   front.stop();
 }
 
-/// Sends a never-ending header block one byte every `interval_ms` and
-/// returns the milliseconds until the server closed the connection, or
-/// `give_up_ms` if it was still open then.
-double trickle_until_closed(int port, int interval_ms, int give_up_ms) {
+/// Sends `head`, then one more byte every `interval_ms`, and returns the
+/// milliseconds until the server closed the connection, or `give_up_ms` if
+/// it was still open then. `head` is itself trickled unless `burst` is set.
+double trickle_until_closed(int port, const std::string& head, bool burst,
+                            int interval_ms, int give_up_ms) {
   using Clock = std::chrono::steady_clock;
   const int fd = connect_loopback(port);
   const auto start = Clock::now();
@@ -274,8 +275,13 @@ double trickle_until_closed(int port, int interval_ms, int give_up_ms) {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
         .count();
   };
-  const std::string head = "GET /healthz HTTP/1.1\r\nX-Slow: ";
-  for (std::size_t i = 0; elapsed_ms() < give_up_ms; ++i) {
+  std::size_t i = 0;
+  if (burst) {
+    EXPECT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(head.size()));
+    i = head.size();
+  }
+  for (; elapsed_ms() < give_up_ms; ++i) {
     const char c = i < head.size() ? head[i] : 'a';
     if (::send(fd, &c, 1, MSG_NOSIGNAL) != 1) break;
     pollfd pfd{fd, POLLIN, 0};
@@ -287,6 +293,19 @@ double trickle_until_closed(int port, int interval_ms, int give_up_ms) {
   const double ms = std::min(elapsed_ms(), static_cast<double>(give_up_ms));
   ::close(fd);
   return ms;
+}
+
+/// A closed connection's slot is reclaimed when its thread finishes, just
+/// after the close the client saw; until then a new connection may get 503.
+void expect_healthz_after_slots_free(int port) {
+  std::string reply;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    reply =
+        raw_round_trip(port, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    if (reply.find("503") == std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
 }
 
 TEST(HttpFrontEnd, TricklingHeadersCannotHoldConnectionSlots) {
@@ -303,23 +322,41 @@ TEST(HttpFrontEnd, TricklingHeadersCannotHoldConnectionSlots) {
   front.start();
 
   const int port = front.port();
-  auto a =
-      std::async(std::launch::async, trickle_until_closed, port, 100, 3000);
-  auto b =
-      std::async(std::launch::async, trickle_until_closed, port, 100, 3000);
+  const std::string head = "GET /healthz HTTP/1.1\r\nX-Slow: ";
+  auto a = std::async(std::launch::async, trickle_until_closed, port, head,
+                      false, 100, 3000);
+  auto b = std::async(std::launch::async, trickle_until_closed, port, head,
+                      false, 100, 3000);
   EXPECT_LT(a.get(), 2.0 * opts.idle_timeout_ms);
   EXPECT_LT(b.get(), 2.0 * opts.idle_timeout_ms);
+  expect_healthz_after_slots_free(port);
+  front.stop();
+}
 
-  // A closed connection's slot is reclaimed when its thread finishes, just
-  // after the close the client saw; until then a new connection may get 503.
-  std::string reply;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    reply =
-        raw_round_trip(port, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
-    if (reply.find("503") == std::string::npos) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_NE(reply.find("HTTP/1.1 200 OK"), std::string::npos) << reply;
+TEST(HttpFrontEnd, TricklingBodyCannotHoldConnectionSlots) {
+  // Two clients fill both connection slots with a complete header block
+  // declaring a 1000-byte body, then send a body byte every 100 ms, well
+  // inside the 300 ms per-recv timeout. The body deadline (the idle timeout
+  // plus 1000 bytes at the minimum body rate) must close both within about
+  // twice the timeout, and the freed slots must serve a normal request.
+  Server server;
+  HttpFrontEnd::Options opts;
+  opts.port = 0;
+  opts.max_connections = 2;
+  opts.idle_timeout_ms = 300;
+  HttpFrontEnd front(server.handler(), opts);
+  front.start();
+
+  const int port = front.port();
+  const std::string head =
+      "POST /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n";
+  auto a = std::async(std::launch::async, trickle_until_closed, port, head,
+                      true, 100, 3000);
+  auto b = std::async(std::launch::async, trickle_until_closed, port, head,
+                      true, 100, 3000);
+  EXPECT_LT(a.get(), 2.0 * opts.idle_timeout_ms);
+  EXPECT_LT(b.get(), 2.0 * opts.idle_timeout_ms);
+  expect_healthz_after_slots_free(port);
   front.stop();
 }
 

@@ -50,6 +50,15 @@ struct Exposition {
     }
     return nullptr;
   }
+
+  /// The value of the sample with exactly these labels; -1 when absent.
+  double value(const std::string& name,
+               const std::map<std::string, std::string>& labels) const {
+    for (const auto& s : samples) {
+      if (s.name == name && s.labels == labels) return s.value;
+    }
+    return -1.0;
+  }
 };
 
 bool valid_metric_name(const std::string& s) {
@@ -323,6 +332,56 @@ TEST_F(MetricsLintTest, CountersAreMonotonicAcrossSnapshots) {
     return -1.0;
   };
   EXPECT_EQ(count_ok(after), count_ok(before) + 2.0);
+}
+
+// One instrument: every serving timing /metrics reports is read from the
+// span stage histograms, so the two views cannot disagree.
+TEST_F(MetricsLintTest, ForwardTotalIsTheForwardStageSum) {
+  drive_traffic();
+  const auto exp = lint_exposition(scrape());
+  const double stages = obs::Tracer::stage_total_ms("forward", "tiny") +
+                        obs::Tracer::stage_total_ms("forward", "dc");
+  EXPECT_GT(stages, 0.0);
+  // The exposition prints six significant digits.
+  EXPECT_NEAR(exp.value("deepsz_forward_ms_total", {}), stages,
+              1e-5 * stages);
+}
+
+TEST_F(MetricsLintTest, DeadlineExpiredRequestFeedsTheRejectedQueueStage) {
+  const std::map<std::string, std::string> rejected = {
+      {"stage", "queue_rejected"}, {"model", "tiny"}};
+  // No series before the first observation.
+  EXPECT_EQ(lint_exposition(scrape()).value("deepsz_stage_ms_count", rejected),
+            -1.0);
+  // A 100 ns deadline has passed before any worker can start the batch.
+  HttpRequest req;
+  req.method = "POST";
+  req.target = "/v1/models/tiny:infer";
+  req.headers["content-type"] = "text/csv";
+  req.headers["x-deepsz-deadline-ms"] = "0.0001";
+  const std::string body = csv_row(32, 0.5f);
+  req.body.assign(body.begin(), body.end());
+  EXPECT_EQ(loopback_.round_trip(req).status, 504);
+
+  const auto exp = lint_exposition(scrape());
+  EXPECT_EQ(exp.value("deepsz_stage_ms_count", rejected), 1.0);
+  EXPECT_EQ(exp.value("deepsz_requests_total",
+                      {{"status", "deadline_exceeded"}}),
+            1.0);
+}
+
+TEST_F(MetricsLintTest, TimingFamiliesFillWithTracingOff) {
+  obs::Tracer::set_enabled(false);
+  obs::Tracer::reset();
+  drive_traffic();
+  const auto exp = lint_exposition(scrape());
+  EXPECT_GT(exp.value("deepsz_request_latency_ms", {{"quantile", "0.5"}}),
+            0.0);
+  EXPECT_GT(exp.value("deepsz_execute_ms", {{"quantile", "0.5"}}), 0.0);
+  EXPECT_GT(exp.value("deepsz_queue_wait_ms",
+                      {{"outcome", "ok"}, {"quantile", "0.5"}}),
+            0.0);
+  EXPECT_TRUE(obs::Tracer::snapshot().events.empty());  // no span recorded
 }
 
 TEST_F(MetricsLintTest, LintCatchesSeededViolations) {
